@@ -694,13 +694,18 @@ pub(crate) fn render_explore(
             (None, Some(q)) => Some(report.significant_at_fdr(m, q).into_iter().collect()),
             (None, None) => None,
         };
-        let mut shown = 0;
-        for idx in report.ranked(m, SortBy::Divergence) {
-            if let Some(kept) = &kept {
-                if !kept.contains(&idx) {
-                    continue;
-                }
-            }
+        // `--top 0` has always printed the single best row.
+        let top = args.top.max(1);
+        let rows = match kept {
+            None => report.top_k(m, top, SortBy::Divergence),
+            Some(kept) => report
+                .ranked(m, SortBy::Divergence)
+                .into_iter()
+                .filter(|idx| kept.contains(idx))
+                .take(top)
+                .collect(),
+        };
+        for idx in rows {
             let _ = writeln!(
                 out,
                 "  {:<55} sup={:.2} Δ={:+.3} t={:.1}",
@@ -709,10 +714,6 @@ pub(crate) fn render_explore(
                 report.divergence(idx, m),
                 report.t_statistic(idx, m),
             );
-            shown += 1;
-            if shown >= args.top {
-                break;
-            }
         }
     }
     Ok(completeness_status(report, out))

@@ -935,7 +935,7 @@ fn handle_query(state: &mut ServeState, args: &Args, request: &Value) -> Result<
     }
 
     let mut rows = Vec::new();
-    for idx in report.ranked(0, SortBy::Divergence).into_iter().take(top) {
+    for idx in report.top_k(0, top, SortBy::Divergence) {
         rows.push(obj(vec![
             ("itemset", text(report.display_itemset(report.items(idx)))),
             ("support", Value::Number(report.support_fraction(idx))),
@@ -1558,6 +1558,26 @@ a,y,1,0
                 "no latency for {op}: {metrics:?}"
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn query_trace_shows_the_ranking_layer() {
+        let dir = temp_dir("trace-rank");
+        let csv_path = dir.join("toy.csv");
+        std::fs::write(&csv_path, CSV).unwrap();
+        let register = register_line(&csv_path);
+        let responses = drive(
+            &serve_args(""),
+            &[
+                &register,
+                r#"{"op":"query","name":"toy","support":0.25,"top":2}"#,
+                r#"{"op":"trace","req":2}"#,
+            ],
+        );
+        assert_eq!(responses[1]["ok"].as_bool(), Some(true), "{responses:?}");
+        let body = responses[2]["body"].as_str().unwrap();
+        assert!(body.contains(r#""span":"report.rank""#), "{body}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

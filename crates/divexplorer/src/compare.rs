@@ -16,7 +16,7 @@
 use crate::dataset::DiscreteDataset;
 use crate::explorer::{DivExplorer, ExploreError};
 use crate::item::ItemId;
-use crate::report::DivergenceReport;
+use crate::report::{k_smallest_by, DivergenceReport};
 use crate::Metric;
 
 /// Paired exploration of two models over the same dataset and metrics.
@@ -75,33 +75,35 @@ impl ModelComparison {
 
     /// The `k` subgroups with the largest absolute divergence gap for
     /// metric `m`, most different first.
+    /// Ties break toward lexicographically smaller itemsets. One pass with
+    /// a `k`-sized heap; only the `k` winners' itemsets are copied.
     pub fn top_gaps(&self, m: usize, k: usize) -> Vec<DivergenceGap> {
-        let mut gaps: Vec<DivergenceGap> = self
-            .report_a
-            .patterns()
-            .filter_map(|p| {
-                let delta_a = self.report_a.divergence_of(p.items, m)?;
-                let delta_b = self.report_b.divergence_of(p.items, m)?;
-                if delta_a.is_nan() || delta_b.is_nan() {
-                    return None;
-                }
-                Some(DivergenceGap {
-                    items: p.items.to_vec(),
-                    delta_a,
-                    delta_b,
-                    gap: delta_a - delta_b,
-                })
-            })
-            .collect();
-        gaps.sort_by(|x, y| {
-            y.gap
-                .abs()
-                .partial_cmp(&x.gap.abs())
-                .unwrap()
-                .then_with(|| x.items.cmp(&y.items))
+        let a = &self.report_a;
+        let candidates = (0..a.len()).filter_map(|idx| {
+            let delta_a = a.divergence(idx, m);
+            let delta_b = self.report_b.divergence_of(a.items(idx), m)?;
+            if delta_a.is_nan() || delta_b.is_nan() {
+                return None;
+            }
+            Some((idx, delta_a, delta_b))
         });
-        gaps.truncate(k);
-        gaps
+        let gap_desc = |&(x, xa, xb): &(usize, f64, f64), &(y, ya, yb): &(usize, f64, f64)| {
+            (ya - yb)
+                .abs()
+                .partial_cmp(&(xa - xb).abs())
+                .expect("NaN gaps are never ranked")
+                .then_with(|| a.items(x).cmp(a.items(y)))
+                .then_with(|| x.cmp(&y))
+        };
+        k_smallest_by(candidates, k, gap_desc)
+            .into_iter()
+            .map(|(idx, delta_a, delta_b)| DivergenceGap {
+                items: a.items(idx).to_vec(),
+                delta_a,
+                delta_b,
+                gap: delta_a - delta_b,
+            })
+            .collect()
     }
 }
 
@@ -149,6 +151,58 @@ mod tests {
         }
         // Signs are opposite between g=a (A worse) and g=b (B worse).
         assert!(gaps[0].gap * gaps[1].gap < 0.0);
+    }
+
+    #[test]
+    fn top_gaps_is_the_prefix_of_a_full_sort() {
+        let n = 96;
+        let code = |i: usize, salt: usize, card: usize| ((i * 7 + salt) * 13 % 31 % card) as u16;
+        let mut b = DatasetBuilder::new();
+        b.categorical(
+            "x",
+            &["0", "1", "2"],
+            &(0..n).map(|i| code(i, 1, 3)).collect::<Vec<_>>(),
+        );
+        b.categorical(
+            "y",
+            &["0", "1"],
+            &(0..n).map(|i| code(i, 5, 2)).collect::<Vec<_>>(),
+        );
+        b.categorical(
+            "z",
+            &["0", "1", "2"],
+            &(0..n).map(|i| (i % 3) as u16).collect::<Vec<_>>(),
+        );
+        let data = b.build().unwrap();
+        let v: Vec<bool> = (0..n).map(|i| i % 5 == 0).collect();
+        let u_a: Vec<bool> = (0..n).map(|i| i % 4 == 0).collect();
+        let u_b: Vec<bool> = (0..n).map(|i| i % 6 < 2).collect();
+        let cmp =
+            compare_models(&data, &v, &u_a, &u_b, &[Metric::FalsePositiveRate], 0.02).unwrap();
+        let mut all: Vec<DivergenceGap> = cmp
+            .report_a
+            .patterns()
+            .filter_map(|p| {
+                let gap = cmp.gap_of(p.items, 0)?;
+                Some(DivergenceGap {
+                    items: p.items.to_vec(),
+                    delta_a: cmp.report_a.divergence_of(p.items, 0)?,
+                    delta_b: cmp.report_b.divergence_of(p.items, 0)?,
+                    gap,
+                })
+            })
+            .collect();
+        all.sort_by(|x, y| {
+            y.gap
+                .abs()
+                .partial_cmp(&x.gap.abs())
+                .unwrap()
+                .then_with(|| x.items.cmp(&y.items))
+        });
+        assert!(all.len() > 20);
+        for k in [0, 1, 10, all.len(), all.len() + 1] {
+            assert_eq!(cmp.top_gaps(0, k), all[..k.min(all.len())], "k={k}");
+        }
     }
 
     #[test]

@@ -6,6 +6,9 @@
 //! arena in without copying a single itemset, and lookups share the
 //! arena's lazily built itemset → id index.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use fpm::{Completeness, ItemsetArena};
 
 use crate::counts::{MultiCounts, OutcomeCounts};
@@ -276,36 +279,58 @@ impl DivergenceReport {
         crate::stats::benjamini_hochberg(&p_values, q)
     }
 
-    /// Pattern indices ranked by the requested order for metric `m`.
-    /// Patterns whose divergence is undefined (`NaN`) are excluded from
-    /// divergence-based orders.
-    pub fn ranked(&self, m: usize, order: SortBy) -> Vec<usize> {
-        let key = |idx: usize| -> f64 {
-            match order {
-                SortBy::Divergence => self.divergence(idx, m),
-                SortBy::NegativeDivergence => -self.divergence(idx, m),
-                SortBy::AbsDivergence => self.divergence(idx, m).abs(),
-                SortBy::Support => self.support(idx) as f64,
-                SortBy::TStatistic => self.t_statistic(idx, m),
-            }
+    /// `(key, idx)` for every pattern whose ranking key under `order` is
+    /// defined (not `NaN`); larger keys rank first. The dataset-level terms
+    /// are computed once, so each key costs one tally lookup.
+    fn keyed(&self, m: usize, order: SortBy) -> impl Iterator<Item = (f64, usize)> + '_ {
+        let dataset_rate = self.dataset_rate(m);
+        let dataset_posterior = self.dataset_counts.get(m).posterior();
+        let key = move |idx| match order {
+            SortBy::Divergence => self.rate(idx, m) - dataset_rate,
+            SortBy::NegativeDivergence => -(self.rate(idx, m) - dataset_rate),
+            SortBy::AbsDivergence => (self.rate(idx, m) - dataset_rate).abs(),
+            SortBy::Support => self.support(idx) as f64,
+            SortBy::TStatistic => self
+                .counts(idx)
+                .get(m)
+                .posterior()
+                .welch_t(&dataset_posterior),
         };
-        let mut idxs: Vec<usize> = (0..self.len()).filter(|&i| !key(i).is_nan()).collect();
-        idxs.sort_by(|&a, &b| {
-            key(b)
-                .partial_cmp(&key(a))
-                .unwrap()
-                // Deterministic tie-break: shorter, then lexicographic.
-                .then_with(|| self.items(a).len().cmp(&self.items(b).len()))
-                .then_with(|| self.items(a).cmp(self.items(b)))
-        });
-        idxs
+        (0..self.len())
+            .map(move |idx| (key(idx), idx))
+            .filter(|(k, _)| !k.is_nan())
     }
 
-    /// The first `k` patterns of [`DivergenceReport::ranked`].
+    /// The ranking order over [`Self::keyed`] pairs: key descending, then
+    /// shorter itemset, then lexicographic items, then index (a total
+    /// order, so every sort agrees).
+    fn rank_cmp(&self, (ka, a): (f64, usize), (kb, b): (f64, usize)) -> Ordering {
+        kb.partial_cmp(&ka)
+            .expect("NaN keys are never ranked")
+            .then_with(|| self.items(a).len().cmp(&self.items(b).len()))
+            .then_with(|| self.items(a).cmp(self.items(b)))
+            .then_with(|| a.cmp(&b))
+    }
+
+    /// Pattern indices ranked by the requested order for metric `m`.
+    /// Patterns whose divergence is undefined (`NaN`) are excluded from
+    /// divergence-based orders. Ties break toward shorter, then
+    /// lexicographically smaller itemsets.
+    pub fn ranked(&self, m: usize, order: SortBy) -> Vec<usize> {
+        let _span = obs::span("report.rank");
+        let mut keyed: Vec<(f64, usize)> = self.keyed(m, order).collect();
+        keyed.sort_unstable_by(|&a, &b| self.rank_cmp(a, b));
+        keyed.into_iter().map(|(_, idx)| idx).collect()
+    }
+
+    /// The first `k` patterns of [`DivergenceReport::ranked`], selected in
+    /// one pass with a `k`-sized heap: `O(n log k)` time, `O(k)` memory.
     pub fn top_k(&self, m: usize, k: usize, order: SortBy) -> Vec<usize> {
-        let mut r = self.ranked(m, order);
-        r.truncate(k);
-        r
+        let _span = obs::span("report.rank");
+        k_smallest_by(self.keyed(m, order), k, |&a, &b| self.rank_cmp(a, b))
+            .into_iter()
+            .map(|(_, idx)| idx)
+            .collect()
     }
 
     /// Renders an itemset with the schema's display names.
@@ -384,6 +409,54 @@ pub struct PatternExport {
     pub divergences: Vec<Option<f64>>,
     /// Per-metric Welch t-statistic.
     pub t_statistics: Vec<f64>,
+}
+
+/// The `k` smallest items under `cmp`, ascending. Keeps a max-heap of the
+/// best `k` seen so far, so it runs in `O(n log k)` time and `O(k)` memory
+/// however long `items` is. `cmp` must be a total order for the result to
+/// match a full sort.
+pub(crate) fn k_smallest_by<T>(
+    items: impl IntoIterator<Item = T>,
+    k: usize,
+    cmp: impl Fn(&T, &T) -> Ordering,
+) -> Vec<T> {
+    /// A heap entry ordered by the caller's comparator.
+    struct By<'c, T, F>(T, &'c F);
+    impl<T, F: Fn(&T, &T) -> Ordering> Ord for By<'_, T, F> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            (self.1)(&self.0, &other.0)
+        }
+    }
+    impl<T, F: Fn(&T, &T) -> Ordering> PartialOrd for By<'_, T, F> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<T, F: Fn(&T, &T) -> Ordering> PartialEq for By<'_, T, F> {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other) == Ordering::Equal
+        }
+    }
+    impl<T, F: Fn(&T, &T) -> Ordering> Eq for By<'_, T, F> {}
+
+    if k == 0 {
+        return Vec::new();
+    }
+    let items = items.into_iter();
+    let mut heap = BinaryHeap::with_capacity(items.size_hint().1.map_or(0, |n| n.min(k)));
+    for item in items {
+        if heap.len() < k {
+            heap.push(By(item, &cmp));
+        } else if let Some(mut worst) = heap.peek_mut() {
+            if cmp(&item, &worst.0) == Ordering::Less {
+                *worst = By(item, &cmp);
+            }
+        }
+    }
+    heap.into_sorted_vec()
+        .into_iter()
+        .map(|By(item, _)| item)
+        .collect()
 }
 
 fn noneify(x: f64) -> Option<f64> {
