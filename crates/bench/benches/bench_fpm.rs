@@ -1,6 +1,7 @@
-//! Ablation: the three mining backends (Apriori, FP-growth, Eclat) on the
-//! same exploration workload. The paper couples DivExplorer with FP-growth;
-//! this bench justifies that default.
+//! Ablation: the production mining backends (FP-growth, Eclat, dense,
+//! sharded) on the same exploration workload. The paper couples
+//! DivExplorer with FP-growth; this bench compares that default against
+//! the others.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datasets::DatasetId;

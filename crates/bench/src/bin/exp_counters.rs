@@ -1,19 +1,18 @@
 //! Counting-engine benchmark: merge-based counting vs class-mask
 //! popcounts on a dense synthetic workload.
 //!
-//! Mines the same `(T, F, ⊥)`-carrying lattice with merge-based Eclat,
-//! bitset Eclat (word-AND supports, merge-based payloads), and the dense
-//! popcount engine (word-AND supports *and* payload counters), asserts
-//! the three results bit-identical — itemsets, supports, and every
-//! outcome tally — and requires the popcount engine to be at least 2×
-//! faster than merge-based Eclat.
+//! Mines the same `(T, F, ⊥)`-carrying lattice with merge-based Eclat
+//! and the dense popcount engine (word-AND supports *and* payload
+//! counters), asserts the two results bit-identical — itemsets, supports,
+//! and every outcome tally — and requires the popcount engine to be at
+//! least 2× faster than merge-based Eclat.
 //!
 //! `--smoke` shrinks the dataset for CI and skips the speedup floor
 //! (timing on shared runners is noise); correctness is always asserted.
 
 use bench::{banner, telemetry};
 use divexplorer::{Metric, MultiCounts};
-use fpm::bitset_eclat::Bitset;
+use fpm::bitset::Bitset;
 use fpm::{Algorithm, ClassMasks, Kernel, MiningParams};
 use std::hint::black_box;
 use std::time::Instant;
@@ -54,7 +53,7 @@ fn main() {
     let reps = if smoke { 2 } else { 3 };
     let mut results = Vec::new();
     let mut timings = Vec::new();
-    for algo in [Algorithm::Eclat, Algorithm::EclatBitset, Algorithm::Dense] {
+    for algo in [Algorithm::Eclat, Algorithm::Dense] {
         let mut best_us = u64::MAX;
         let mut arena = None;
         for _ in 0..reps {
@@ -75,36 +74,31 @@ fn main() {
         timings.push((algo, best_us));
     }
 
-    // (T, F, ⊥) counters must be bit-identical across all engines.
+    // (T, F, ⊥) counters must be bit-identical across both engines.
     let (_, reference) = &results[0];
-    for (algo, arena) in &results[1..] {
-        assert_eq!(
-            arena.len(),
-            reference.len(),
-            "{algo}: itemset count differs from eclat"
-        );
-        for (got, want) in arena.iter().zip(reference.iter()) {
-            assert_eq!(got.items, want.items, "{algo}: itemsets differ");
-            assert_eq!(
-                got.support, want.support,
-                "{algo}: support differs on {:?}",
-                want.items
-            );
-            assert_eq!(
-                got.payload, want.payload,
-                "{algo}: (T, F, \u{22a5}) tallies differ on {:?}",
-                want.items
-            );
-        }
-    }
-    println!(
-        "counters bit-identical across all {} engines",
-        results.len()
+    let (algo, arena) = &results[1];
+    assert_eq!(
+        arena.len(),
+        reference.len(),
+        "{algo}: itemset count differs from eclat"
     );
+    for (got, want) in arena.iter().zip(reference.iter()) {
+        assert_eq!(got.items, want.items, "{algo}: itemsets differ");
+        assert_eq!(
+            got.support, want.support,
+            "{algo}: support differs on {:?}",
+            want.items
+        );
+        assert_eq!(
+            got.payload, want.payload,
+            "{algo}: (T, F, \u{22a5}) tallies differ on {:?}",
+            want.items
+        );
+    }
+    println!("counters bit-identical between eclat and dense");
 
     let merge_us = timings[0].1;
-    let bitset_us = timings[1].1;
-    let dense_us = timings[2].1;
+    let dense_us = timings[1].1;
     let speedup = merge_us as f64 / dense_us as f64;
     println!("popcount speedup over merge-based eclat: {speedup:.2}x");
     if !smoke {
@@ -224,16 +218,12 @@ fn main() {
     let mut run = obs::RunReport::new("counters", "artificial", "dense");
     run.n_rows = db.len() as u64;
     run.min_support = 0.02;
-    run.patterns = reference.len() as u64;
+    run.patterns = results[0].1.len() as u64;
     run.total_us = dense_us;
     run.counters = vec![
         obs::CounterEntry {
             name: "merge_eclat_us".to_string(),
             value: merge_us,
-        },
-        obs::CounterEntry {
-            name: "bitset_eclat_us".to_string(),
-            value: bitset_us,
         },
         obs::CounterEntry {
             name: "dense_us".to_string(),

@@ -29,13 +29,13 @@ use crate::{explorer_from_args, prepare, render_explore, Args, CliError, IndexFo
 /// the rows resident, without fragmenting small datasets.
 const DEFAULT_INDEX_SHARDS: usize = 8;
 
-/// The engine name recorded in artifact keys: `--shards` forces the
-/// sharded two-pass engine regardless of `--engine`.
-pub(crate) fn engine_label(args: &Args) -> String {
+/// The engine recorded in artifact keys: `--shards` forces the sharded
+/// two-pass engine regardless of `--engine`.
+pub(crate) fn engine_of(args: &Args) -> fpm::Algorithm {
     if args.shards.is_some() {
-        "sharded".to_string()
+        fpm::Algorithm::Sharded
     } else {
-        args.engine.to_string()
+        args.engine
     }
 }
 
@@ -95,7 +95,7 @@ pub fn run_index(args: &Args, content: &str, out: &mut String) -> Result<(), Cli
         dataset_hash: hash,
         min_support_count: report.min_support_count(),
         max_len: None,
-        engine: engine_label(args),
+        engine: engine_of(args).to_string(),
         n_rows: prepared.data.n_rows() as u64,
     };
     let arena_path = dir.join(artifact::arena_file_name(&key));
@@ -153,7 +153,7 @@ pub fn run_analyze(args: &Args, out: &mut String) -> Result<RunStatus, CliError>
         dataset_hash: ds.hash,
         min_support_count: params.min_support_count,
         max_len: None,
-        engine: engine_label(args),
+        engine: engine_of(args).to_string(),
         n_rows: n as u64,
     };
     let arena_path = dir.join(artifact::arena_file_name(&key));

@@ -270,9 +270,9 @@ OPTIONS:
   --trace-json FILE  stream telemetry (spans, counters, histograms) to FILE
                      as newline-delimited JSON
   --stats            print an aggregated telemetry summary to stderr
-  --engine NAME      mining engine: apriori, fp-growth, eclat, eclat-bitset,
-                     dense (class-mask popcount counting), or sharded
-                     (two-pass partitioned mining) [fp-growth]
+  --engine NAME      mining engine: fp-growth, eclat, dense (class-mask
+                     popcount counting), or sharded (two-pass partitioned
+                     mining) [fp-growth]
   --shards N         split the data into N row shards and mine through the
                      sharded two-pass engine; results are bit-identical to
                      a one-pass run but peak mining memory is roughly one
@@ -467,15 +467,12 @@ fn parse_format(s: &str) -> Result<IndexFormat, CliError> {
 
 pub(crate) fn parse_engine(s: &str) -> Result<fpm::Algorithm, CliError> {
     match s.trim().to_ascii_lowercase().as_str() {
-        "apriori" => Ok(fpm::Algorithm::Apriori),
         "fp-growth" => Ok(fpm::Algorithm::FpGrowth),
         "eclat" => Ok(fpm::Algorithm::Eclat),
-        "eclat-bitset" => Ok(fpm::Algorithm::EclatBitset),
         "dense" => Ok(fpm::Algorithm::Dense),
         "sharded" => Ok(fpm::Algorithm::Sharded),
         other => Err(CliError::Usage(format!(
-            "unknown engine '{other}' (expected apriori, fp-growth, eclat, \
-             eclat-bitset, dense, or sharded)"
+            "unknown engine '{other}' (expected fp-growth, eclat, dense, or sharded)"
         ))),
     }
 }
@@ -1089,10 +1086,8 @@ b,y,0,1
         assert_eq!(args.engine, fpm::Algorithm::FpGrowth);
 
         for (name, algo) in [
-            ("apriori", fpm::Algorithm::Apriori),
             ("fp-growth", fpm::Algorithm::FpGrowth),
             ("eclat", fpm::Algorithm::Eclat),
-            ("eclat-bitset", fpm::Algorithm::EclatBitset),
             ("dense", fpm::Algorithm::Dense),
             ("sharded", fpm::Algorithm::Sharded),
         ] {
@@ -1101,9 +1096,14 @@ b,y,0,1
             assert_eq!(Args::parse(argv).unwrap().engine, algo, "{name}");
         }
 
-        let mut argv = base_args("explore");
-        argv.extend(["--engine".to_string(), "quantum".to_string()]);
-        assert!(matches!(Args::parse(argv), Err(CliError::Usage(_))));
+        for name in ["quantum", "apriori", "eclat-bitset"] {
+            let mut argv = base_args("explore");
+            argv.extend(["--engine".to_string(), name.to_string()]);
+            assert!(
+                matches!(Args::parse(argv), Err(CliError::Usage(_))),
+                "{name}"
+            );
+        }
     }
 
     #[test]
@@ -1114,7 +1114,7 @@ b,y,0,1
             run_with_content(&args, CSV, &mut out).unwrap();
             out
         };
-        for name in ["apriori", "eclat", "eclat-bitset", "dense", "sharded"] {
+        for name in ["eclat", "dense", "sharded"] {
             let mut argv = base_args("explore");
             argv.extend(["--engine".to_string(), name.to_string()]);
             let args = Args::parse(argv).unwrap();

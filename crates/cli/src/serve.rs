@@ -89,7 +89,7 @@ use fpm::{ItemsetArena, TruncationReason};
 use obs::LiveRecorder;
 use serde_json::Value;
 
-use crate::artifacts::{candidates_of, engine_label};
+use crate::artifacts::{candidates_of, engine_of};
 use crate::{budget_from_args, parse_engine, parse_metrics, prepare, Args, CliError};
 
 /// Default lattice-cache budget: 256 MiB of resident arenas.
@@ -254,7 +254,7 @@ pub fn serve_loop<R: BufRead, W: Write>(args: &Args, input: R, out: W) -> Result
 /// capture the slow/panic/timeout trace dumps in-process.
 pub fn serve_loop_with_diag<R: BufRead, W: Write>(
     args: &Args,
-    input: R,
+    mut input: R,
     mut out: W,
     diag: &mut dyn Write,
 ) -> Result<(), CliError> {
@@ -268,16 +268,27 @@ pub fn serve_loop_with_diag<R: BufRead, W: Write>(
     };
     let mut metrics_sink = MetricsSink::new(args);
     let mut next_request_id: u64 = 1;
-    for line in input.lines() {
-        let line = line.map_err(|e| CliError::Input(format!("request stream: {e}")))?;
-        if line.trim().is_empty() {
-            continue;
+    // Raw bytes, not `lines()`: a line that is not UTF-8 is one bad
+    // request, answered like any other, not the end of the session.
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let n = input
+            .read_until(b'\n', &mut buf)
+            .map_err(|e| CliError::Input(format!("request stream: {e}")))?;
+        if n == 0 {
+            break;
         }
+        let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        let parsed: Result<Value, String> = match std::str::from_utf8(line) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => serde_json::from_str(text).map_err(|e| format!("bad request: {e}")),
+            Err(e) => Err(format!("bad request: {e}")),
+        };
         let req_id = next_request_id;
         next_request_id += 1;
         obs::counter("serve.requests", 1);
-        let parsed: Result<Value, String> =
-            serde_json::from_str(&line).map_err(|e| format!("bad request: {e}"));
         let op = op_label(&parsed);
         let timeouts_before = plane.counter_value("serve.timeouts");
         let started = Instant::now();
@@ -768,9 +779,15 @@ fn ensure_lattice(
     name: &str,
     warnings: &mut Vec<String>,
 ) -> Result<(Arc<ItemsetArena<()>>, &'static str, f64), Value> {
+    // Parse the engine before any cache or registry access: lattices are
+    // keyed by its canonical name, never by the client's spelling.
+    let algorithm = match str_field(request, "engine") {
+        Some(spelled) => parse_engine(&spelled).map_err(|e| fail(e.to_string()))?,
+        None => engine_of(args),
+    };
+    let engine = algorithm.to_string();
     let support = support_field(request, args)?;
     let knobs = scale_knobs(request, args)?;
-    let engine = str_field(request, "engine").unwrap_or_else(|| engine_label(args));
     let reg = state
         .datasets
         .get(name)
@@ -790,7 +807,7 @@ fn ensure_lattice(
         dataset_hash: reg.hash,
         min_support_count: params.min_support_count,
         max_len: None,
-        engine: engine.clone(),
+        engine,
         n_rows: n as u64,
     };
     if let Some(dir) = &state.dir {
@@ -816,7 +833,6 @@ fn ensure_lattice(
         }
     }
     let reg = &state.datasets[name];
-    let algorithm = parse_engine(&engine).map_err(|e| fail(e.to_string()))?;
     // The scale knobs steer *how* the lattice is mined, never what it
     // contains — sharded/parallel/prefetched runs are bit-identical —
     // so they are deliberately absent from the cache and artifact keys.
@@ -963,6 +979,7 @@ fn handle_query(state: &mut ServeState, args: &Args, request: &Value) -> Result<
 mod tests {
     use super::*;
     use crate::Command;
+    use proptest::prelude::*;
 
     const CSV: &str = "\
 grp,other,y,yhat
@@ -1155,6 +1172,115 @@ b,y,0,1
         }
         assert_eq!(responses[5]["ok"].as_bool(), Some(true));
         assert_eq!(responses[5]["failures"].as_u64(), Some(5));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any byte line is one request: invalid UTF-8, control bytes or
+        /// JSON of the wrong shape each get exactly one typed `ok:false`
+        /// reply and count as a failure, and a final `stats` still
+        /// answers. Lines are printable ASCII or raw bytes, half each.
+        #[test]
+        fn every_byte_line_gets_one_typed_failure_and_the_loop_goes_on(
+            lines in prop::collection::vec(
+                (any::<bool>(), prop::collection::vec(any::<u8>(), 1..48)),
+                1..8,
+            ),
+        ) {
+            let mut input = Vec::new();
+            let mut utf8 = Vec::new();
+            for (ascii, mut bytes) in lines {
+                for b in &mut bytes {
+                    if ascii {
+                        *b = b' ' + *b % 95;
+                    } else if *b == b'\n' {
+                        *b = 0xFF;
+                    }
+                }
+                let text = std::str::from_utf8(&bytes);
+                // Blank lines are skipped by the protocol, not answered.
+                if text.is_ok_and(|t| t.trim().is_empty()) {
+                    continue;
+                }
+                utf8.push(text.is_ok());
+                input.extend_from_slice(&bytes);
+                input.push(b'\n');
+            }
+            input.extend_from_slice(br#"{"op":"stats"}"#);
+            let mut out = Vec::new();
+            serve_loop_with_diag(&serve_args(""), input.as_slice(), &mut out, &mut Vec::new())
+                .unwrap();
+            let responses: Vec<Value> = String::from_utf8(out)
+                .unwrap()
+                .lines()
+                .map(|line| serde_json::from_str(line).unwrap())
+                .collect();
+            prop_assert_eq!(responses.len(), utf8.len() + 1);
+            for (r, &is_utf8) in responses.iter().zip(&utf8) {
+                prop_assert_eq!(r["ok"].as_bool(), Some(false), "{:?}", r);
+                let error = r["error"].as_str().unwrap_or_default();
+                prop_assert!(is_utf8 || error.starts_with("bad request: "), "{:?}", r);
+                prop_assert!(!error.is_empty(), "{:?}", r);
+            }
+            let stats = &responses[utf8.len()];
+            prop_assert_eq!(stats["ok"].as_bool(), Some(true));
+            prop_assert_eq!(stats["failures"].as_u64(), Some(utf8.len() as u64));
+        }
+    }
+
+    #[test]
+    fn engine_spellings_share_one_lattice_and_unknown_engines_touch_nothing() {
+        let dir = temp_dir("engine-key");
+        let csv_path = dir.join("toy.csv");
+        std::fs::write(&csv_path, CSV).unwrap();
+        let registry = dir.join("artifacts");
+        let args = serve_args(registry.to_str().unwrap());
+        let register = register_line(&csv_path);
+        let registry_files = || -> Vec<std::path::PathBuf> {
+            let mut files: Vec<_> = std::fs::read_dir(&registry)
+                .unwrap()
+                .map(|entry| entry.unwrap().path())
+                .collect();
+            files.sort();
+            files
+        };
+        let responses = drive(
+            &args,
+            &[
+                &register,
+                r#"{"op":"mine","name":"toy","support":0.25,"engine":"Dense"}"#,
+                r#"{"op":"mine","name":"toy","support":0.25,"engine":"dense"}"#,
+                r#"{"op":"mine","name":"toy","support":0.25,"engine":" dense "}"#,
+            ],
+        );
+        assert_eq!(responses[1]["source"].as_str(), Some("mined"));
+        assert_eq!(responses[2]["source"].as_str(), Some("cache"));
+        assert_eq!(responses[3]["source"].as_str(), Some("cache"));
+        let files = registry_files();
+        let dxa: Vec<_> = files
+            .iter()
+            .filter(|p| p.extension().is_some_and(|e| e == "dxa"))
+            .collect();
+        assert_eq!(dxa.len(), 1, "{files:?}");
+        assert!(dxa[0].to_string_lossy().contains("dense"), "{dxa:?}");
+
+        // An unknown engine is rejected before the cache or the registry
+        // is consulted, naming the engines that exist.
+        let responses = drive(
+            &args,
+            &[
+                &register,
+                r#"{"op":"mine","name":"toy","support":0.25,"engine":"apriori"}"#,
+            ],
+        );
+        assert_eq!(responses[1]["ok"].as_bool(), Some(false));
+        let error = responses[1]["error"].as_str().unwrap();
+        for engine in ["fp-growth", "eclat", "dense", "sharded"] {
+            assert!(error.contains(engine), "{error}");
+        }
+        assert_eq!(registry_files(), files);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! every (threads, prefetch) pipeline configuration — and any tampered
 //! artifact bytes must fail closed with a typed error, never a panic.
 //!
-//! Run with `FPM_KERNEL={scalar,unrolled,simd}` to pin the counting
+//! Run with `FPM_KERNEL={scalar,simd}` to pin the counting
 //! kernel; the expected results are kernel-invariant.
 
 use datasets::artifact::{decode_shards, encode_shards, ArtifactError};

@@ -109,8 +109,8 @@ impl DivExplorer {
         }
     }
 
-    /// Selects the mining backend (Apriori, FP-growth or Eclat — all produce
-    /// identical reports).
+    /// Selects the mining backend (FP-growth, Eclat, dense or sharded — all
+    /// produce identical reports).
     pub fn with_algorithm(mut self, algorithm: fpm::Algorithm) -> Self {
         self.algorithm = algorithm;
         self

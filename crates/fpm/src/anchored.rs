@@ -211,12 +211,12 @@ mod tests {
     fn max_len_counts_the_anchor() {
         let db = db();
         let params = MiningParams::with_min_support_count(1).max_len(2);
-        let found = mine_containing(Algorithm::Apriori, &db, &[(); 5], &params, 0);
+        let found = mine_containing(Algorithm::Dense, &db, &[(); 5], &params, 0);
         assert!(found.iter().all(|fi| fi.items.len() <= 2));
         assert!(found.iter().all(|fi| fi.items.contains(&0)));
         // With max_len 1, only the anchor itself.
         let params = MiningParams::with_min_support_count(1).max_len(1);
-        let found = mine_containing(Algorithm::Apriori, &db, &[(); 5], &params, 0);
+        let found = mine_containing(Algorithm::Dense, &db, &[(); 5], &params, 0);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].items, vec![0]);
     }

@@ -21,16 +21,16 @@
 //! # Enforcement model
 //!
 //! Emission-side enforcement alone is not enough. Depth-first miners
-//! (Eclat, bitset Eclat, FP-growth, the naive oracle) consult
-//! `wants_extensions` after every emission, so a `false` from an exhausted
-//! `BudgetSink` prunes every subtree immediately. The level-wise
-//! ([`crate::apriori`]) and merged-parallel ([`crate::parallel`]) miners
-//! apply `wants_extensions` only where their traversal order allows —
-//! between levels, or not at all — and can spend unbounded time inside a
-//! single counting pass or worker subtree. They therefore poll
-//! [`ItemsetSink::should_stop`] at periodic checkpoints (per level, every
-//! N transactions, per subtree node), which re-checks the deadline and the
-//! cancel token even when no emission has happened for a while.
+//! (Eclat, dense, FP-growth, the naive oracle) consult `wants_extensions`
+//! after every emission, so a `false` from an exhausted `BudgetSink`
+//! prunes every subtree immediately. The merged-parallel
+//! ([`crate::parallel`]) and two-pass ([`crate::sharded`]) miners apply
+//! `wants_extensions` only where their traversal order allows, and can
+//! spend unbounded time inside a single worker subtree or counting pass.
+//! Every miner therefore also polls [`ItemsetSink::should_stop`] at
+//! periodic checkpoints (per root subtree, per subtree node, per shard),
+//! which re-checks the deadline and the cancel token even when no
+//! emission has happened for a while.
 //!
 //! A truncated run's output is always a subset of the unbudgeted run's
 //! output with identical supports and payloads, and for the deterministic
@@ -231,8 +231,8 @@ impl std::fmt::Display for Completeness {
 /// Wrap any inner sink; once a limit trips, every further emission is
 /// dropped, `wants_extensions` answers `false` (pruning all depth-first
 /// subtrees) and [`ItemsetSink::should_stop`] answers `true` (stopping
-/// level-wise and long counting passes at their next checkpoint). The
-/// final [`BudgetSink::verdict`] reports what happened.
+/// parallel, sharded and long counting passes at their next checkpoint).
+/// The final [`BudgetSink::verdict`] reports what happened.
 pub struct BudgetSink<S> {
     inner: S,
     budget: Budget,
@@ -488,7 +488,7 @@ mod tests {
         let budget = Budget::unlimited().with_timeout(Duration::ZERO);
         let mut sink = BudgetSink::new(VecSink::new(), budget);
         crate::MiningTask::with_params(&db, params.clone())
-            .algorithm(Algorithm::Apriori)
+            .algorithm(Algorithm::FpGrowth)
             .run_into(&mut sink);
         assert_eq!(
             sink.verdict().truncation_reason(),

@@ -169,7 +169,7 @@ mod tests {
     fn singleton_result_is_closed_and_maximal() {
         let db = TransactionDb::from_rows(1, &[vec![0]]);
         let all = MiningTask::new(&db, 1)
-            .algorithm(Algorithm::Apriori)
+            .algorithm(Algorithm::FpGrowth)
             .run()
             .into_itemsets();
         let flags = condensation_flags(&all);

@@ -35,7 +35,7 @@
 //! payload type.
 
 use crate::arena::ItemsetArena;
-use crate::bitset_eclat::Bitset;
+use crate::bitset::Bitset;
 use crate::eclat;
 use crate::itemset::FrequentItemset;
 use crate::kernels::{self, AlignedWords};

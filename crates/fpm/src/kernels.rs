@@ -14,18 +14,17 @@
 //!   cache line is touched once — not once per class as the historical
 //!   per-class loop did.
 //!
-//! Three implementations are selectable: `Scalar` (the reference
-//! word-by-word zip), `Unrolled` (8×u64 chunks with independent
-//! accumulators plus a scalar tail), and `Simd` (AVX2 256-bit loads/ANDs
-//! with hardware popcounts on `x86_64`, falling back to `Unrolled`
-//! elsewhere or when the CPU lacks `avx2`/`popcnt`). [`selected`]
-//! resolves the process-wide choice once — best available, overridable
-//! via the `FPM_KERNEL` environment variable (`scalar` / `unrolled` /
-//! `simd`) — and every engine records it in its obs counters.
+//! Two implementations are selectable: `Scalar` (the reference
+//! word-by-word zip) and `Simd` (AVX2 256-bit loads/ANDs with hardware
+//! popcounts on `x86_64`, running the scalar body elsewhere or when the
+//! CPU lacks `avx2`/`popcnt`). [`selected`] resolves the process-wide
+//! choice once — best available, overridable via the `FPM_KERNEL`
+//! environment variable (`scalar` / `simd`) — and every engine records
+//! it in its obs counters.
 //!
 //! Every kernel reads exactly the words `[0, len)` of its inputs (full
 //! 8-word blocks plus a scalar tail), so odd lengths and trailing-word
-//! masks are handled identically by all three and none can read out of
+//! masks are handled identically by both and neither can read out of
 //! bounds. [`AlignedWords`] provides 64-byte-aligned backing storage so
 //! the wide loads of full blocks never split a cache line.
 
@@ -41,7 +40,7 @@ struct Block([u64; BLOCK_WORDS]);
 
 /// A growable `u64` buffer whose storage is 64-byte aligned.
 ///
-/// Backing store for [`crate::bitset_eclat::Bitset`] words, the dense
+/// Backing store for [`crate::bitset::Bitset`] words, the dense
 /// engine's buffer pool, and [`crate::masks::ClassMasks`] planes. The
 /// buffer rounds its capacity up to whole [`Block`]s; the logical length
 /// is tracked in words, and padding words past `len` inside the last
@@ -133,25 +132,21 @@ impl Eq for AlignedWords {}
 pub enum Kernel {
     /// Word-by-word zip — the differential-testing reference.
     Scalar,
-    /// 8×u64 blocks with independent accumulators plus a scalar tail;
-    /// autovectorizes on any target.
-    Unrolled,
     /// AVX2 256-bit loads and ANDs with hardware popcounts. Requires
     /// `x86_64` with `avx2` + `popcnt`; transparently executes as
-    /// [`Kernel::Unrolled`] anywhere else, so calling it is always safe.
+    /// [`Kernel::Scalar`] anywhere else, so calling it is always safe.
     Simd,
 }
 
 impl Kernel {
     /// Every kernel, reference first.
-    pub const ALL: [Kernel; 3] = [Kernel::Scalar, Kernel::Unrolled, Kernel::Simd];
+    pub const ALL: [Kernel; 2] = [Kernel::Scalar, Kernel::Simd];
 
     /// Stable lower-case name (`FPM_KERNEL` values, counter suffixes,
     /// RunReport `kernel` field).
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
-            Kernel::Unrolled => "unrolled",
             Kernel::Simd => "simd",
         }
     }
@@ -160,7 +155,6 @@ impl Kernel {
     pub fn from_name(name: &str) -> Option<Kernel> {
         match name {
             "scalar" => Some(Kernel::Scalar),
-            "unrolled" => Some(Kernel::Unrolled),
             "simd" => Some(Kernel::Simd),
             _ => None,
         }
@@ -170,7 +164,7 @@ impl Kernel {
     /// (rather than falling back to another variant).
     pub fn available(self) -> bool {
         match self {
-            Kernel::Scalar | Kernel::Unrolled => true,
+            Kernel::Scalar => true,
             Kernel::Simd => simd_available(),
         }
     }
@@ -179,7 +173,6 @@ impl Kernel {
     pub fn selected_counter(self) -> &'static str {
         match self {
             Kernel::Scalar => "fpm.kernel.selected.scalar",
-            Kernel::Unrolled => "fpm.kernel.selected.unrolled",
             Kernel::Simd => "fpm.kernel.selected.simd",
         }
     }
@@ -188,25 +181,24 @@ impl Kernel {
     pub fn words_counter(self) -> &'static str {
         match self {
             Kernel::Scalar => "fpm.kernel.words_anded.scalar",
-            Kernel::Unrolled => "fpm.kernel.words_anded.unrolled",
             Kernel::Simd => "fpm.kernel.words_anded.simd",
         }
     }
 
+    /// True iff this call should take the AVX2 path.
+    #[cfg(target_arch = "x86_64")]
+    fn use_avx2(self) -> bool {
+        self == Kernel::Simd && simd_available()
+    }
+
     /// Population count of `words`.
     pub fn count(self, words: &[u64]) -> u64 {
-        match self {
-            Kernel::Scalar => words.iter().map(|w| w.count_ones() as u64).sum(),
-            Kernel::Unrolled => unrolled::count(words),
-            Kernel::Simd => {
-                #[cfg(target_arch = "x86_64")]
-                if simd_available() {
-                    // Safety: avx2+popcnt presence just checked.
-                    return unsafe { avx2::count(words) };
-                }
-                unrolled::count(words)
-            }
+        #[cfg(target_arch = "x86_64")]
+        if self.use_avx2() {
+            // SAFETY: `use_avx2` just checked that the CPU has avx2 and popcnt.
+            return unsafe { avx2::count(words) };
         }
+        words.iter().map(|w| w.count_ones() as u64).sum()
     }
 
     /// Popcount of `a & b` without materializing the intersection.
@@ -215,22 +207,15 @@ impl Kernel {
     /// universe contract; this is re-checked in debug builds).
     pub fn and_count(self, a: &[u64], b: &[u64]) -> u64 {
         debug_assert_eq!(a.len(), b.len(), "kernel operands must match");
-        match self {
-            Kernel::Scalar => a
-                .iter()
-                .zip(b)
-                .map(|(x, y)| (x & y).count_ones() as u64)
-                .sum(),
-            Kernel::Unrolled => unrolled::and_count(a, b),
-            Kernel::Simd => {
-                #[cfg(target_arch = "x86_64")]
-                if simd_available() {
-                    // Safety: avx2+popcnt presence just checked.
-                    return unsafe { avx2::and_count(a, b) };
-                }
-                unrolled::and_count(a, b)
-            }
+        #[cfg(target_arch = "x86_64")]
+        if self.use_avx2() {
+            // SAFETY: `use_avx2` just checked that the CPU has avx2 and popcnt.
+            return unsafe { avx2::and_count(a, b) };
         }
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (x & y).count_ones() as u64)
+            .sum()
     }
 
     /// The fused multi-mask tally: overwrites `counts[c]` with
@@ -243,35 +228,35 @@ impl Kernel {
     /// per (block, class), zero-padded past the tidset's last word so
     /// full-block arithmetic never consults the tail length.
     pub fn tally(self, tids: &[u64], planes: &[u64], n_classes: usize, counts: &mut [u64]) {
-        debug_assert_eq!(counts.len(), n_classes);
-        debug_assert_eq!(planes.len(), plane_words(tids.len(), n_classes));
+        // The AVX2 body reads planes through raw pointers: these bounds
+        // are what keep it in range, so they hold in release builds too.
+        assert_eq!(counts.len(), n_classes, "one count per class");
+        assert_eq!(
+            planes.len(),
+            plane_words(tids.len(), n_classes),
+            "planes must hold one line per (block, class)"
+        );
         counts.fill(0);
         if n_classes == 0 || tids.is_empty() {
             return;
         }
-        match self {
-            Kernel::Scalar => {
-                for (blk, tblock) in tids.chunks(BLOCK_WORDS).enumerate() {
-                    let base = blk * BLOCK_WORDS * n_classes;
-                    for (c, slot) in counts.iter_mut().enumerate() {
-                        let plane = &planes[base + c * BLOCK_WORDS..][..BLOCK_WORDS];
-                        *slot += tblock
-                            .iter()
-                            .zip(plane)
-                            .map(|(t, p)| (t & p).count_ones() as u64)
-                            .sum::<u64>();
-                    }
-                }
-            }
-            Kernel::Unrolled => unrolled::tally(tids, planes, counts),
-            Kernel::Simd => {
-                #[cfg(target_arch = "x86_64")]
-                if simd_available() {
-                    // Safety: avx2+popcnt presence just checked.
-                    unsafe { avx2::tally(tids, planes, counts) };
-                    return;
-                }
-                unrolled::tally(tids, planes, counts)
+        #[cfg(target_arch = "x86_64")]
+        if self.use_avx2() {
+            // SAFETY: `use_avx2` just checked that the CPU has avx2 and
+            // popcnt, and the asserts above keep every plane read inside
+            // `planes`.
+            unsafe { avx2::tally(tids, planes, counts) };
+            return;
+        }
+        for (blk, tblock) in tids.chunks(BLOCK_WORDS).enumerate() {
+            let base = blk * BLOCK_WORDS * n_classes;
+            for (c, slot) in counts.iter_mut().enumerate() {
+                let plane = &planes[base + c * BLOCK_WORDS..][..BLOCK_WORDS];
+                *slot += tblock
+                    .iter()
+                    .zip(plane)
+                    .map(|(t, p)| (t & p).count_ones() as u64)
+                    .sum::<u64>();
             }
         }
     }
@@ -302,7 +287,7 @@ fn simd_available() -> bool {
 
 /// The process-wide kernel: `FPM_KERNEL` if set to an available kernel,
 /// otherwise the best available (`Simd` where supported, else
-/// `Unrolled`). Resolved once; tests compare kernels by passing them
+/// `Scalar`). Resolved once; tests compare kernels by passing them
 /// explicitly instead.
 pub fn selected() -> Kernel {
     static SELECTED: OnceLock<Kernel> = OnceLock::new();
@@ -310,7 +295,7 @@ pub fn selected() -> Kernel {
         let best = if simd_available() {
             Kernel::Simd
         } else {
-            Kernel::Unrolled
+            Kernel::Scalar
         };
         match std::env::var("FPM_KERNEL") {
             Ok(name) => match Kernel::from_name(name.trim()) {
@@ -331,75 +316,6 @@ pub fn publish_selected(words_anded: u64) {
     let k = selected();
     obs::counter(k.selected_counter(), 1);
     obs::counter(k.words_counter(), words_anded);
-}
-
-/// 8×u64 unrolled bodies with scalar tails. Safe code; the fixed-width
-/// inner loops give LLVM independent accumulators to vectorize.
-mod unrolled {
-    use super::BLOCK_WORDS;
-
-    pub fn count(words: &[u64]) -> u64 {
-        let mut acc = [0u64; BLOCK_WORDS];
-        let mut chunks = words.chunks_exact(BLOCK_WORDS);
-        for ch in chunks.by_ref() {
-            for (a, w) in acc.iter_mut().zip(ch) {
-                *a += w.count_ones() as u64;
-            }
-        }
-        let mut total: u64 = acc.iter().sum();
-        for w in chunks.remainder() {
-            total += w.count_ones() as u64;
-        }
-        total
-    }
-
-    pub fn and_count(a: &[u64], b: &[u64]) -> u64 {
-        let mut acc = [0u64; BLOCK_WORDS];
-        let mut ca = a.chunks_exact(BLOCK_WORDS);
-        let mut cb = b.chunks_exact(BLOCK_WORDS);
-        for (xs, ys) in ca.by_ref().zip(cb.by_ref()) {
-            for ((s, x), y) in acc.iter_mut().zip(xs).zip(ys) {
-                *s += (x & y).count_ones() as u64;
-            }
-        }
-        let mut total: u64 = acc.iter().sum();
-        for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-            total += (x & y).count_ones() as u64;
-        }
-        total
-    }
-
-    pub fn tally(tids: &[u64], planes: &[u64], counts: &mut [u64]) {
-        let mut blocks = tids.chunks_exact(BLOCK_WORDS);
-        let mut base = 0;
-        for tblock in blocks.by_ref() {
-            // The tidset line stays resident while every class's line
-            // streams past it.
-            let t: &[u64; BLOCK_WORDS] = tblock.try_into().expect("exact chunk");
-            for slot in counts.iter_mut() {
-                let p: &[u64; BLOCK_WORDS] =
-                    planes[base..base + BLOCK_WORDS].try_into().expect("line");
-                let mut s = 0u64;
-                for lane in 0..BLOCK_WORDS {
-                    s += (t[lane] & p[lane]).count_ones() as u64;
-                }
-                *slot += s;
-                base += BLOCK_WORDS;
-            }
-        }
-        let tail = blocks.remainder();
-        if !tail.is_empty() {
-            for slot in counts.iter_mut() {
-                let plane = &planes[base..base + BLOCK_WORDS];
-                let mut s = 0u64;
-                for (t, p) in tail.iter().zip(plane) {
-                    s += (t & p).count_ones() as u64;
-                }
-                *slot += s;
-                base += BLOCK_WORDS;
-            }
-        }
-    }
 }
 
 /// AVX2 bodies: 256-bit loads and ANDs, per-lane hardware popcounts,

@@ -1,11 +1,12 @@
 //! Frequent pattern mining (FPM) substrate for DivExplorer.
 //!
-//! This crate implements three classic frequent-itemset mining algorithms —
-//! level-wise [Apriori](apriori), [FP-growth](fpgrowth) over an FP-tree, and
-//! vertical [Eclat](eclat) — plus the class-mask popcount engine
-//! [`dense`] (adaptive bitset / tid-list / dEclat-diffset representation
-//! with payload counters computed as `popcount(tidset & class_mask)`) and
-//! a [naive reference miner](naive) used for differential testing.
+//! This crate implements two classic frequent-itemset mining algorithms —
+//! [FP-growth](fpgrowth) over an FP-tree and vertical [Eclat](eclat) over
+//! tid-lists — plus the class-mask popcount engine [`dense`] (adaptive
+//! bitset / tid-list / dEclat-diffset representation with payload counters
+//! computed as `popcount(tidset & class_mask)`), the two-pass [`sharded`]
+//! engine for out-of-core tables, and a [naive reference miner](naive)
+//! used for differential testing.
 //!
 //! The distinguishing feature, required by Algorithm 1 of the DivExplorer
 //! paper (Pastor et al., SIGMOD 2021), is that every miner is generic over a
@@ -84,9 +85,8 @@
 //! for the soundness argument and memory model.
 
 pub mod anchored;
-pub mod apriori;
 pub mod arena;
-pub mod bitset_eclat;
+pub mod bitset;
 pub mod budget;
 pub mod closed;
 pub mod dense;
@@ -176,18 +176,12 @@ impl MiningParams {
 /// differ only in performance characteristics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
-    /// Level-wise candidate generation with hash-based support counting
-    /// (Agrawal & Srikant, VLDB 1994).
-    Apriori,
     /// Pattern growth over an FP-tree (Han, Pei & Yin, SIGMOD 2000). This is
     /// the algorithm the paper couples with DivExplorer in all reported
     /// experiments.
     FpGrowth,
     /// Depth-first vertical mining over tid-lists (Zaki, 1997).
     Eclat,
-    /// Vertical mining over packed bit vectors — fastest on dense databases
-    /// like DivExplorer's one-item-per-attribute transactions.
-    EclatBitset,
     /// Class-mask popcount counting with adaptive tidsets (bitsets,
     /// sorted tid-lists, dEclat diffsets): payload counters are computed
     /// as `popcount(tidset & class_mask)` instead of per-tid merges.
@@ -207,11 +201,9 @@ pub enum Algorithm {
 
 impl Algorithm {
     /// Every production algorithm (excludes [`Algorithm::Naive`]).
-    pub const ALL: [Algorithm; 6] = [
-        Algorithm::Apriori,
+    pub const ALL: [Algorithm; 4] = [
         Algorithm::FpGrowth,
         Algorithm::Eclat,
-        Algorithm::EclatBitset,
         Algorithm::Dense,
         Algorithm::Sharded,
     ];
@@ -220,10 +212,8 @@ impl Algorithm {
     /// backend.
     pub fn span_name(&self) -> &'static str {
         match self {
-            Algorithm::Apriori => "fpm.mine.apriori",
             Algorithm::FpGrowth => "fpm.mine.fp-growth",
             Algorithm::Eclat => "fpm.mine.eclat",
-            Algorithm::EclatBitset => "fpm.mine.eclat-bitset",
             Algorithm::Dense => "fpm.mine.dense",
             Algorithm::Sharded => "fpm.mine.sharded",
             Algorithm::Naive => "fpm.mine.naive",
@@ -234,10 +224,8 @@ impl Algorithm {
 impl std::fmt::Display for Algorithm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
-            Algorithm::Apriori => "apriori",
             Algorithm::FpGrowth => "fp-growth",
             Algorithm::Eclat => "eclat",
-            Algorithm::EclatBitset => "eclat-bitset",
             Algorithm::Dense => "dense",
             Algorithm::Sharded => "sharded",
             Algorithm::Naive => "naive",
@@ -267,10 +255,8 @@ pub(crate) fn dispatch_mine_into<P: Payload + Send + Sync, S: ItemsetSink<P>>(
     );
     let _span = obs::span(algorithm.span_name());
     match algorithm {
-        Algorithm::Apriori => apriori::mine_into(db, payloads, params, sink),
         Algorithm::FpGrowth => fpgrowth::mine_into(db, payloads, params, sink),
         Algorithm::Eclat => eclat::mine_into(db, payloads, params, sink),
-        Algorithm::EclatBitset => bitset_eclat::mine_into(db, payloads, params, sink),
         Algorithm::Dense => dense::mine_into(db, payloads, params, sink),
         Algorithm::Sharded => {
             let source = sharded::MemShardSource::new(db, payloads, sharded::DEFAULT_SHARDS);
@@ -368,7 +354,7 @@ mod tests {
         let db = toy_db();
         let _ = MiningTask::new(&db, 2)
             .payloads(&[(), ()])
-            .algorithm(Algorithm::Apriori)
+            .algorithm(Algorithm::FpGrowth)
             .run();
     }
 }

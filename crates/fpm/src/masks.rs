@@ -17,7 +17,7 @@
 //! [`Payload`]; types that keep the default (`mask_spec` → `None`) simply
 //! fall back to merge-based counting in [`crate::dense`].
 
-use crate::bitset_eclat::Bitset;
+use crate::bitset::Bitset;
 use crate::kernels::{self, AlignedWords, Kernel, BLOCK_WORDS};
 use crate::payload::Payload;
 

@@ -172,7 +172,7 @@ mod tests {
     fn confidence_threshold_filters() {
         let db = TransactionDb::from_rows(2, &[vec![0, 1], vec![0], vec![0], vec![0]]);
         let found = MiningTask::new(&db, 1)
-            .algorithm(Algorithm::Apriori)
+            .algorithm(Algorithm::FpGrowth)
             .run()
             .into_itemsets();
         let strict = generate_rules(

@@ -44,7 +44,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use crate::arena::ItemsetArena;
-use crate::bitset_eclat::Bitset;
+use crate::bitset::Bitset;
 use crate::budget::{Budget, CancelToken, Completeness, TruncationReason};
 use crate::dense;
 use crate::kernels::{self, AlignedWords};
@@ -250,16 +250,10 @@ pub trait ShardSource<P: Payload>: Sync {
     fn size_hint(&self, _k: usize) -> Option<u64> {
         None
     }
-    /// Materializes shard `k` eagerly on the calling thread.
-    #[deprecated(note = "use `open(k).materialize()` — the handle form lets the \
-                         recount pipeline schedule IO off the counting threads")]
-    fn load(&self, k: usize) -> Shard<P> {
-        self.open(k).materialize()
-    }
 }
 
 /// A [`ShardSource`] over an in-memory table: `K` balanced contiguous
-/// row windows, copied out on `load`.
+/// row windows, copied out on `materialize`.
 #[derive(Debug, Clone, Copy)]
 pub struct MemShardSource<'a, P> {
     db: &'a TransactionDb,
@@ -1682,25 +1676,18 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_load_shim_delegates_to_open() {
-        let db = db();
-        let payloads = payloads(db.len());
-        let source = MemShardSource::new(&db, &payloads, 3);
-        #[allow(deprecated)]
-        let via_shim = ShardSource::load(&source, 1);
-        let via_open = source.open(1).materialize();
-        assert_eq!(via_shim.start_row, via_open.start_row);
-        assert_eq!(via_shim.db.len(), via_open.db.len());
-        assert_eq!(via_shim.payloads, via_open.payloads);
-        assert_eq!(source.size_hint(1), None);
-    }
-
-    #[test]
     fn stats_report_memory_and_coverage() {
         let db = db();
         let payloads = payloads(db.len());
         let params = MiningParams::with_min_support_count(2);
         let source = MemShardSource::new(&db, &payloads, 4);
+        // Shard 1 of 4 over 40 rows is the window [10, 20), and an
+        // in-memory source knows no encoded size.
+        let shard = source.open(1).materialize();
+        assert_eq!(shard.start_row, 10);
+        assert_eq!(shard.db.len(), 10);
+        assert_eq!(shard.payloads, payloads[10..20]);
+        assert_eq!(source.size_hint(1), None);
         let mut arena = ItemsetArena::new();
         let stats = mine_into(&source, &params, &mut arena);
         assert_eq!(stats.n_shards, 4);

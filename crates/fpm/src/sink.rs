@@ -23,8 +23,8 @@
 //!   Because support is anti-monotone, this is the hook for top-k
 //!   cutoffs ("no extension can beat the current k-th support") and
 //!   depth limits beyond [`crate::MiningParams::max_len`]. The hook is
-//!   advisory: level-wise ([`crate::apriori`]) and merged-parallel
-//!   ([`crate::parallel`]) execution apply it where their traversal
+//!   advisory: merged-parallel ([`crate::parallel`]) and two-pass
+//!   ([`crate::sharded`]) execution apply it where their traversal
 //!   order allows (see the module docs), and a sink must therefore
 //!   filter in `emit` if it *requires* suppression rather than pruning.
 
@@ -48,7 +48,7 @@ pub trait ItemsetSink<P: Payload> {
     /// Cooperative-cancellation checkpoint: `true` tells the miner to
     /// abandon the run as soon as its traversal allows, keeping whatever
     /// has already been emitted. Miners poll this at periodic
-    /// checkpoints (per level, per subtree, every N transactions of a
+    /// checkpoints (per subtree, per shard, every N transactions of a
     /// counting pass) — the hook that makes wall-clock budgets and
     /// [`crate::budget::CancelToken`] effective even where
     /// `wants_extensions` is only advisory. Defaults to `false` (never
@@ -280,7 +280,7 @@ mod tests {
         let params = MiningParams::with_min_support_count(1);
         let mut sink = FilterSink::new(VecSink::new(), |items: &[u32], _, _: &()| items.len() == 2);
         crate::MiningTask::with_params(&db, params.clone())
-            .algorithm(Algorithm::Apriori)
+            .algorithm(Algorithm::Dense)
             .run_into(&mut sink);
         assert!(!sink.inner.found.is_empty());
         assert!(sink.inner.found.iter().all(|fi| fi.items.len() == 2));

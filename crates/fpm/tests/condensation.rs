@@ -69,7 +69,7 @@ proptest! {
 
     #[test]
     fn rule_statistics_match_direct_counts(db in small_db(), min_conf in 0.0f64..1.0) {
-        let found = mine_counts(Algorithm::Apriori, &db, 1);
+        let found = mine_counts(Algorithm::Eclat, &db, 1);
         let rules = generate_rules(&found, &RuleParams {
             min_confidence: min_conf,
             n_transactions: db.len(),

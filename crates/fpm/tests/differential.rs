@@ -368,7 +368,7 @@ proptest! {
     fn fused_tally_agrees_across_representations(
         rows in proptest::collection::vec(any::<bool>(), 1..200),
     ) {
-        use fpm::bitset_eclat::Bitset;
+        use fpm::bitset::Bitset;
         use fpm::{ClassMasks, Kernel};
         let n = rows.len();
         let payloads: Vec<(CountPayload, CountPayload)> = (0..n as u64)
@@ -459,7 +459,7 @@ proptest! {
 /// storage would trip the slice bounds checks of the safe paths.
 #[test]
 fn kernels_never_read_past_odd_lengths() {
-    use fpm::bitset_eclat::Bitset;
+    use fpm::bitset::Bitset;
     use fpm::{AlignedWords, Kernel};
     for n_words in [1usize, 3, 7, 9, 15, 17, 31, 33] {
         // Fill two whole blocks beyond the target length with ones, then

@@ -14,7 +14,7 @@
 //! call is one relaxed atomic load plus a predictable branch — nothing
 //! else happens, no `Instant::now()`, no locking, no allocation. Hot
 //! loops additionally batch locally (one `counter` call per lattice
-//! node or per level, never per element), so the *enabled* path stays
+//! node or per worker, never per element), so the *enabled* path stays
 //! cheap too. The disabled path is benchmarked against the run itself
 //! by `exp_overhead` in the `bench` crate; the contract is < 2% of
 //! end-to-end mining wall clock.

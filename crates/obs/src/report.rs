@@ -133,8 +133,8 @@ pub struct RunReport {
     /// Streamed (decoded) bytes over encoded bytes — the effective
     /// compression ratio, when the source reports sizes.
     pub shard_compression_ratio: Option<f64>,
-    /// Counting kernel the run dispatched to (`"scalar"` / `"unrolled"`
-    /// / `"simd"`), when the caller records it. Per-kernel word volumes
+    /// Counting kernel the run dispatched to (`"scalar"` / `"simd"`),
+    /// when the caller records it. Per-kernel word volumes
     /// arrive as `fpm.kernel.words_anded.<name>` counters alongside.
     /// Absent in older reports; parses as `None`.
     pub kernel: Option<String>,

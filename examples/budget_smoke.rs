@@ -19,7 +19,7 @@ fn main() {
 
     let start = Instant::now();
     let report = DivExplorer::new(0.0)
-        .with_algorithm(fpm::Algorithm::Apriori)
+        .with_algorithm(fpm::Algorithm::Eclat)
         .with_budget(budget)
         .explore(&d.data, &d.v, &d.u, &[Metric::FalsePositiveRate])
         .expect("budget exhaustion must not be an error");

@@ -68,7 +68,11 @@ fn all_mining_backends_agree_on_generated_data() {
             &[Metric::FalsePositiveRate, Metric::FalseNegativeRate],
         )
         .unwrap();
-    for algo in [fpm::Algorithm::Apriori, fpm::Algorithm::Eclat] {
+    for algo in [
+        fpm::Algorithm::Eclat,
+        fpm::Algorithm::Dense,
+        fpm::Algorithm::Sharded,
+    ] {
         let report = DivExplorer::new(0.08)
             .with_algorithm(algo)
             .explore(

@@ -106,10 +106,8 @@ fn every_miner_emits_its_phase_span_and_matching_counters() {
     let _guard = obs_lock().lock().unwrap();
     let d = compas();
     for algo in [
-        Algorithm::Apriori,
         Algorithm::FpGrowth,
         Algorithm::Eclat,
-        Algorithm::EclatBitset,
         Algorithm::Dense,
         Algorithm::Naive,
     ] {
