@@ -11,7 +11,8 @@
 //! provenance (DESIGN.md §6h): a tampered, truncated or version-skewed
 //! **lattice** artifact is quarantined (`*.quarantine`) and rebuilt by
 //! re-mining the dataset artifact — `analyze` still succeeds, with a
-//! warning. A poisoned **dataset** artifact fails closed with a typed
+//! warning. That ladder is [`artifact::resolve_lattice`], shared with
+//! `serve`. A poisoned **dataset** artifact fails closed with a typed
 //! [`CliError::Input`] (exit code 3): there is nothing on disk to
 //! rebuild it from.
 
@@ -20,7 +21,7 @@ use std::path::Path;
 
 use datasets::artifact::{self, ArenaKey};
 use datasets::artifact_io::DiskIo;
-use divexplorer::DivergenceReport;
+use divexplorer::DiscreteDataset;
 
 use crate::{explorer_from_args, prepare, render_explore, Args, CliError, IndexFormat, RunStatus};
 
@@ -28,16 +29,6 @@ use crate::{explorer_from_args, prepare, render_explore, Args, CliError, IndexFo
 /// enough windows that a later out-of-core recount holds a fraction of
 /// the rows resident, without fragmenting small datasets.
 const DEFAULT_INDEX_SHARDS: usize = 8;
-
-/// The engine recorded in artifact keys: `--shards` forces the sharded
-/// two-pass engine regardless of `--engine`.
-pub(crate) fn engine_of(args: &Args) -> fpm::Algorithm {
-    if args.shards.is_some() {
-        fpm::Algorithm::Sharded
-    } else {
-        args.engine
-    }
-}
 
 fn input_err(context: &dyn std::fmt::Display, e: &dyn std::fmt::Display) -> CliError {
     CliError::Input(format!("{context}: {e}"))
@@ -58,20 +49,12 @@ pub fn run_probe(args: &Args, out: &mut String) -> Result<(), CliError> {
 }
 
 /// `index`: encodes the CSV into a dataset artifact and mines + persists
-/// its frequent lattice under the registry key. Refuses to persist a
-/// budget-truncated lattice — a partial candidate set would silently
-/// poison every later recount.
+/// its frequent lattice under the registry key.
 pub fn run_index(args: &Args, content: &str, out: &mut String) -> Result<(), CliError> {
     let prepared = prepare(content, args)?;
+    let candidates = mine_lattice(args, &prepared.data, &prepared.v, &prepared.u)?;
     let dir = Path::new(&args.artifact);
     std::fs::create_dir_all(dir).map_err(|e| input_err(&dir.display(), &e))?;
-
-    let report = explorer_from_args(args)
-        .explore(&prepared.data, &prepared.v, &prepared.u, &args.metrics)
-        .map_err(|e| CliError::Input(e.to_string()))?;
-    if let Some(reason) = report.completeness().truncation_reason() {
-        return Err(CliError::Truncated(reason));
-    }
 
     let dataset_path = dir.join(artifact::dataset_file_name(&args.name));
     let hash = artifact::save_dataset(&dataset_path, &prepared.data, &prepared.v, &prepared.u)
@@ -90,14 +73,7 @@ pub fn run_index(args: &Args, content: &str, out: &mut String) -> Result<(), Cli
         None
     };
 
-    let candidates = candidates_of(&report);
-    let key = ArenaKey {
-        dataset_hash: hash,
-        min_support_count: report.min_support_count(),
-        max_len: None,
-        engine: engine_of(args).to_string(),
-        n_rows: prepared.data.n_rows() as u64,
-    };
+    let key = ArenaKey::new(hash, prepared.data.n_rows(), args.support, args.engine);
     let arena_path = dir.join(artifact::arena_file_name(&key));
     artifact::save_arena(&arena_path, &key, &candidates)
         .map_err(|e| input_err(&arena_path.display(), &e))?;
@@ -123,16 +99,31 @@ pub fn run_index(args: &Args, content: &str, out: &mut String) -> Result<(), Cli
     Ok(())
 }
 
-/// Extracts the candidate lattice (items + supports, unit payload) from
-/// a report and normalizes it to canonical order so the artifact bytes
-/// do not depend on the mining engine's emission order.
-pub(crate) fn candidates_of(report: &DivergenceReport) -> fpm::ItemsetArena<()> {
+/// Mines the candidate lattice (items + supports, unit payload) of
+/// `data` as `args` configure it: the one mine step behind `index`, the
+/// rebuild of a quarantined registry slot and serve's cold mine. Refuses
+/// a budget-truncated lattice, since a partial candidate set would
+/// silently poison every later recount, and normalizes to canonical
+/// order so the artifact bytes do not depend on the engine's emission
+/// order.
+pub(crate) fn mine_lattice(
+    args: &Args,
+    data: &DiscreteDataset,
+    v: &[bool],
+    u: &[bool],
+) -> Result<fpm::ItemsetArena<()>, CliError> {
+    let report = explorer_from_args(args, data.n_rows())?
+        .explore(data, v, u, &args.metrics)
+        .map_err(|e| CliError::Input(e.to_string()))?;
+    if let Some(reason) = report.completeness().truncation_reason() {
+        return Err(CliError::Truncated(reason));
+    }
     let mut candidates = fpm::ItemsetArena::with_capacity(report.len(), 0);
     for idx in 0..report.len() {
         candidates.push(report.items(idx), report.support(idx), ());
     }
     candidates.sort_canonical();
-    candidates
+    Ok(candidates)
 }
 
 /// `analyze --artifact`: loads the dataset and lattice artifacts and
@@ -146,16 +137,9 @@ pub fn run_analyze(args: &Args, out: &mut String) -> Result<RunStatus, CliError>
     let dataset_path = dir.join(artifact::dataset_file_name(&args.name));
     let ds = artifact::load_dataset(&dataset_path)
         .map_err(|e| input_err(&dataset_path.display(), &e))?;
+    let explorer = explorer_from_args(args, ds.data.n_rows())?;
 
-    let n = ds.data.n_rows();
-    let params = fpm::MiningParams::with_min_support_fraction(args.support, n);
-    let key = ArenaKey {
-        dataset_hash: ds.hash,
-        min_support_count: params.min_support_count,
-        max_len: None,
-        engine: engine_of(args).to_string(),
-        n_rows: n as u64,
-    };
+    let key = ArenaKey::new(ds.hash, ds.data.n_rows(), args.support, args.engine);
     let arena_path = dir.join(artifact::arena_file_name(&key));
     if !arena_path.exists() {
         return Err(CliError::Input(format!(
@@ -164,69 +148,14 @@ pub fn run_analyze(args: &Args, out: &mut String) -> Result<RunStatus, CliError>
             arena_path.display()
         )));
     }
-    let candidates = match artifact::load_arena(&arena_path) {
-        Ok((loaded_key, candidates)) if loaded_key == key => candidates,
-        Ok(_) => rebuild_arena(
-            args,
-            &ds,
-            &key,
-            &arena_path,
-            "artifact key does not match its file name",
-            out,
-        )?,
-        Err(e) => rebuild_arena(args, &ds, &key, &arena_path, &e.to_string(), out)?,
-    };
-
-    let report = explorer_from_args(args)
-        .from_artifact(&ds.data, &candidates, &ds.v, &ds.u, &args.metrics)
+    let resolved = artifact::resolve_lattice(&DiskIo, &arena_path, &key, || {
+        mine_lattice(args, &ds.data, &ds.v, &ds.u)
+    })?;
+    for warning in &resolved.warnings {
+        let _ = writeln!(out, "warning: {warning}");
+    }
+    let report = explorer
+        .from_artifact(&ds.data, &resolved.lattice, &ds.v, &ds.u, &args.metrics)
         .map_err(|e| CliError::Input(e.to_string()))?;
     render_explore(args, &report, out)
-}
-
-/// The quarantine-and-rebuild path: moves the poisoned lattice artifact
-/// aside, re-mines it from the (checksum-verified) dataset artifact and
-/// re-persists the registry slot. A failing re-persist degrades to a
-/// warning — the recount proceeds from memory either way.
-fn rebuild_arena(
-    args: &Args,
-    ds: &artifact::DatasetArtifact,
-    key: &ArenaKey,
-    arena_path: &Path,
-    why: &str,
-    out: &mut String,
-) -> Result<fpm::ItemsetArena<()>, CliError> {
-    match artifact::quarantine(&DiskIo, arena_path) {
-        Ok(dest) => {
-            let _ = writeln!(
-                out,
-                "warning: {}: {why}; quarantined to {} and re-mining",
-                arena_path.display(),
-                dest.display()
-            );
-        }
-        Err(e) => {
-            let _ = writeln!(
-                out,
-                "warning: {}: {why}; quarantine rename failed ({e}); re-mining anyway",
-                arena_path.display()
-            );
-        }
-    }
-    let report = explorer_from_args(args)
-        .explore(&ds.data, &ds.v, &ds.u, &args.metrics)
-        .map_err(|e| CliError::Input(e.to_string()))?;
-    if let Some(reason) = report.completeness().truncation_reason() {
-        // Same contract as `index`: never persist (or recount against)
-        // a partial candidate set.
-        return Err(CliError::Truncated(reason));
-    }
-    let candidates = candidates_of(&report);
-    if let Err(e) = artifact::save_arena(arena_path, key, &candidates) {
-        let _ = writeln!(
-            out,
-            "warning: {}: rebuilt lattice could not be re-persisted ({e})",
-            arena_path.display()
-        );
-    }
-    Ok(candidates)
 }

@@ -25,6 +25,11 @@
 //! divexplorer serve      [--artifact DIR]         # NDJSON request loop on stdin
 //! ```
 //!
+//! The CLI and `serve` share one path per job: one rule per shared knob
+//! (`SHARED_KNOBS`), one [`DivExplorer`] builder, one lattice key
+//! ([`divexplorer::ArenaKey`]) and one registry ladder
+//! ([`datasets::artifact::resolve_lattice`]).
+//!
 //! All logic lives here (parameterized over the CSV *content* and an output
 //! writer) so it is unit-testable without touching the filesystem.
 
@@ -230,13 +235,17 @@ ARTIFACTS:
   `index` encodes the dataset and mines + persists its frequent lattice as
   checksummed artifacts under DIR; `analyze` re-analyzes from them with a
   streaming recount (no mining phase) — use the same --support/--engine as
-  the index run so the registry key matches. `serve` answers NDJSON
-  requests (register/mine/query/stats/metrics/trace/shutdown) on stdin,
-  one JSON reply per line, caching lattices in memory and in DIR when given. Registry
-  writes are crash-safe (temp file + fsync + atomic rename); a corrupt
-  lattice artifact is quarantined (*.quarantine) and rebuilt by re-mining,
-  and serve isolates every request (panics and expired deadlines fail
-  soft, the loop continues).
+  the index run so the registry key matches (--threads, --shards and
+  --prefetch never enter the key). `serve` answers NDJSON requests
+  (register/mine/query/stats/metrics/trace/shutdown) on stdin, one JSON
+  reply per line, caching lattices in memory and in DIR when given. A
+  request may set support, engine, metric, top, bins, threads, shards and
+  prefetch as fields named like the flags, checked by the same rules
+  (numbers as JSON numbers, never strings). Registry writes are
+  crash-safe (temp file + fsync + atomic rename); a corrupt lattice
+  artifact is quarantined (*.quarantine) and rebuilt by re-mining, and
+  serve isolates every request (panics and expired deadlines fail soft,
+  the loop continues).
 
 OPTIONS:
   --artifact PATH    artifact file (probe) or registry directory (index,
@@ -245,9 +254,10 @@ OPTIONS:
   --metric LIST      comma-separated metrics (FPR,FNR,ER,ACC,TPR,TNR,PPV,NPV,FDR,FOR) [FPR]
   --support S        minimum support threshold in (0,1] [0.05]
   --top K            rows to print [10]
-  --bins B           quantile bins for numeric columns [3]
-  --prune EPS        apply ε-redundancy pruning (explore)
-  --fdr Q            keep only FDR-significant patterns at level Q (explore)
+  --bins B           quantile bins for numeric columns, B >= 1 [3]
+  --prune EPS        apply ε-redundancy pruning, EPS finite and >= 0 (explore)
+  --fdr Q            keep only FDR-significant patterns at level Q in [0,1]
+                     (explore)
   --json             JSON output (explore)
   --itemset SPEC     target pattern, e.g. \"sex=Male,#prior=>3\" (shapley, lattice)
   --threshold T      lattice highlight threshold [0.1]
@@ -272,13 +282,13 @@ OPTIONS:
   --stats            print an aggregated telemetry summary to stderr
   --engine NAME      mining engine: fp-growth, eclat, dense (class-mask
                      popcount counting), or sharded (two-pass partitioned
-                     mining) [fp-growth]
-  --shards N         split the data into N row shards and mine through the
-                     sharded two-pass engine; results are bit-identical to
-                     a one-pass run but peak mining memory is roughly one
-                     shard plus the candidate set
-  --threads N        worker threads for mining and the sharded recount
-                     pass [1]
+                     mining); the registry key records it [fp-growth]
+  --shards N         split the data into N row shards (1 <= N <= rows) and
+                     mine through the sharded two-pass engine; results are
+                     bit-identical to a one-pass run but peak mining memory
+                     is roughly one shard plus the candidate set
+  --threads N        worker threads (N >= 1) for mining and the sharded
+                     recount pass; at most one per root subtree runs [1]
   --prefetch D       load up to D shards ahead of the recount workers so
                      IO overlaps counting (needs --shards; 0 = inline) [0]
   --format F         index: dxd writes the dataset + lattice artifacts;
@@ -345,64 +355,35 @@ impl Args {
                     .ok_or_else(|| CliError::Usage(format!("{name} needs a value")))
             };
             match flag.as_str() {
-                "--input" => args.input = value("--input")?,
-                "--label" => args.label = value("--label")?,
-                "--pred" => args.pred = value("--pred")?,
-                "--metric" => args.metrics = parse_metrics(&value("--metric")?)?,
-                "--support" => args.support = parse_num(&value("--support")?, "--support")?,
-                "--top" => args.top = parse_num::<usize>(&value("--top")?, "--top")?,
-                "--bins" => args.bins = parse_num::<usize>(&value("--bins")?, "--bins")?,
-                "--prune" => args.prune = Some(parse_num(&value("--prune")?, "--prune")?),
-                "--fdr" => args.fdr = Some(parse_num(&value("--fdr")?, "--fdr")?),
+                "--input" => args.input = value(&flag)?,
+                "--label" => args.label = value(&flag)?,
+                "--pred" => args.pred = value(&flag)?,
+                "--support" | "--engine" | "--metric" | "--top" | "--bins" | "--threads"
+                | "--shards" | "--prefetch" | "--prune" | "--fdr" => {
+                    let raw = value(&flag)?;
+                    set_knob(&mut args, &flag[2..], &raw)
+                        .map_err(|e| CliError::Usage(format!("{flag}: {e}")))?
+                }
                 "--json" => args.json = true,
-                "--itemset" => args.itemset = parse_itemset_spec(&value("--itemset")?)?,
-                "--threshold" => args.threshold = parse_num(&value("--threshold")?, "--threshold")?,
+                "--itemset" => args.itemset = parse_itemset_spec(&value(&flag)?)?,
+                "--threshold" => args.threshold = parse_num(&value(&flag)?, &flag)?,
                 "--dot" => args.dot = true,
-                "--timeout-ms" => {
-                    args.timeout_ms = Some(parse_num(&value("--timeout-ms")?, "--timeout-ms")?)
-                }
+                "--timeout-ms" => args.timeout_ms = Some(parse_num(&value(&flag)?, &flag)?),
                 "--request-timeout-ms" => {
-                    args.request_timeout_ms = Some(parse_num(
-                        &value("--request-timeout-ms")?,
-                        "--request-timeout-ms",
-                    )?)
+                    args.request_timeout_ms = Some(parse_num(&value(&flag)?, &flag)?)
                 }
-                "--metrics-file" => args.metrics_file = Some(value("--metrics-file")?),
+                "--metrics-file" => args.metrics_file = Some(value(&flag)?),
                 "--metrics-interval-ms" => {
-                    args.metrics_interval_ms =
-                        parse_num(&value("--metrics-interval-ms")?, "--metrics-interval-ms")?
+                    args.metrics_interval_ms = parse_num(&value(&flag)?, &flag)?
                 }
-                "--slow-ms" => args.slow_ms = Some(parse_num(&value("--slow-ms")?, "--slow-ms")?),
-                "--max-itemsets" => {
-                    args.max_itemsets =
-                        Some(parse_num(&value("--max-itemsets")?, "--max-itemsets")?)
-                }
-                "--max-depth" => {
-                    args.max_depth = Some(parse_num(&value("--max-depth")?, "--max-depth")?)
-                }
-                "--trace-json" => args.trace_json = Some(value("--trace-json")?),
+                "--slow-ms" => args.slow_ms = Some(parse_num(&value(&flag)?, &flag)?),
+                "--max-itemsets" => args.max_itemsets = Some(parse_num(&value(&flag)?, &flag)?),
+                "--max-depth" => args.max_depth = Some(parse_num(&value(&flag)?, &flag)?),
+                "--trace-json" => args.trace_json = Some(value(&flag)?),
                 "--stats" => args.stats = true,
-                "--engine" => args.engine = parse_engine(&value("--engine")?)?,
-                "--shards" => {
-                    let n = parse_num::<usize>(&value("--shards")?, "--shards")?;
-                    if n == 0 {
-                        return Err(CliError::Usage("--shards must be at least 1".to_string()));
-                    }
-                    args.shards = Some(n);
-                }
-                "--threads" => {
-                    let n = parse_num::<usize>(&value("--threads")?, "--threads")?;
-                    if n == 0 {
-                        return Err(CliError::Usage("--threads must be at least 1".to_string()));
-                    }
-                    args.threads = n;
-                }
-                "--prefetch" => {
-                    args.prefetch = parse_num::<usize>(&value("--prefetch")?, "--prefetch")?;
-                }
-                "--artifact" => args.artifact = value("--artifact")?,
-                "--name" => args.name = value("--name")?,
-                "--format" => args.format = parse_format(&value("--format")?)?,
+                "--artifact" => args.artifact = value(&flag)?,
+                "--name" => args.name = value(&flag)?,
+                "--format" => args.format = parse_format(&value(&flag)?)?,
                 other => return Err(CliError::Usage(format!("unknown flag '{other}'"))),
             }
         }
@@ -465,19 +446,62 @@ fn parse_format(s: &str) -> Result<IndexFormat, CliError> {
     }
 }
 
-pub(crate) fn parse_engine(s: &str) -> Result<fpm::Algorithm, CliError> {
+/// The knobs `serve` requests share with the command line, each settable
+/// per request under the flag's name without the dashes.
+pub(crate) const SHARED_KNOBS: [&str; 8] = [
+    "support", "engine", "metric", "top", "bins", "threads", "shards", "prefetch",
+];
+
+/// Parses and range-checks one knob value into `args`: the one rule
+/// behind both the `--KNOB` flags and serve's request fields (the
+/// [`SHARED_KNOBS`], plus the CLI-only `prune` and `fdr`). The error
+/// states the rule; each surface prefixes the knob's name.
+pub(crate) fn set_knob(args: &mut Args, knob: &str, raw: &str) -> Result<(), String> {
+    fn parsed<T: std::str::FromStr>(raw: &str, what: &str) -> Result<T, String> {
+        raw.parse()
+            .map_err(|_| format!("must be {what}, got '{raw}'"))
+    }
+    fn count(raw: &str, min: usize) -> Result<usize, String> {
+        let n = parsed(raw, "a non-negative integer")?;
+        (n >= min)
+            .then_some(n)
+            .ok_or_else(|| format!("must be at least {min}, got {n}"))
+    }
+    fn number(raw: &str, ok: impl Fn(f64) -> bool, range: &str) -> Result<f64, String> {
+        let x = parsed(raw, "a number")?;
+        ok(x)
+            .then_some(x)
+            .ok_or_else(|| format!("must be {range}, got {raw}"))
+    }
+    match knob {
+        "support" => args.support = number(raw, |s| s > 0.0 && s <= 1.0, "in (0, 1]")?,
+        "engine" => args.engine = parse_engine(raw)?,
+        "metric" => args.metrics = parse_metrics(raw)?,
+        "top" => args.top = count(raw, 0)?,
+        "bins" => args.bins = count(raw, 1)?,
+        "threads" => args.threads = count(raw, 1)?,
+        "shards" => args.shards = Some(count(raw, 1)?),
+        "prefetch" => args.prefetch = count(raw, 0)?,
+        "prune" => args.prune = Some(number(raw, |e| e.is_finite() && e >= 0.0, "finite, >= 0")?),
+        "fdr" => args.fdr = Some(number(raw, |q| (0.0..=1.0).contains(&q), "in [0, 1]")?),
+        other => unreachable!("'{other}' is not a knob"),
+    }
+    Ok(())
+}
+
+fn parse_engine(s: &str) -> Result<fpm::Algorithm, String> {
     match s.trim().to_ascii_lowercase().as_str() {
         "fp-growth" => Ok(fpm::Algorithm::FpGrowth),
         "eclat" => Ok(fpm::Algorithm::Eclat),
         "dense" => Ok(fpm::Algorithm::Dense),
         "sharded" => Ok(fpm::Algorithm::Sharded),
-        other => Err(CliError::Usage(format!(
+        other => Err(format!(
             "unknown engine '{other}' (expected fp-growth, eclat, dense, or sharded)"
-        ))),
+        )),
     }
 }
 
-pub(crate) fn parse_metrics(s: &str) -> Result<Vec<Metric>, CliError> {
+fn parse_metrics(s: &str) -> Result<Vec<Metric>, String> {
     s.split(',')
         .map(|name| match name.trim().to_ascii_uppercase().as_str() {
             "FPR" => Ok(Metric::FalsePositiveRate),
@@ -490,7 +514,7 @@ pub(crate) fn parse_metrics(s: &str) -> Result<Vec<Metric>, CliError> {
             "NPV" => Ok(Metric::NegativePredictiveValue),
             "FDR" => Ok(Metric::FalseDiscoveryRate),
             "FOR" => Ok(Metric::FalseOmissionRate),
-            other => Err(CliError::Usage(format!("unknown metric '{other}'"))),
+            other => Err(format!("unknown metric '{other}'")),
         })
         .collect()
 }
@@ -631,8 +655,11 @@ impl Telemetry {
     }
 }
 
-/// The [`fpm::Budget`] requested on the command line.
-pub(crate) fn budget_from_args(args: &Args) -> fpm::Budget {
+/// The [`DivExplorer`] configured by `args` — the one builder behind the
+/// cold commands, `index`, `analyze` and every `serve` request. A shard
+/// count above the table's `n_rows` is a usage error: the shard windows
+/// would be empty, and a huge count would spin forever building them.
+pub(crate) fn explorer_from_args(args: &Args, n_rows: usize) -> Result<DivExplorer, CliError> {
     let mut budget = fpm::Budget::unlimited();
     if let Some(ms) = args.timeout_ms {
         budget = budget.with_timeout(std::time::Duration::from_millis(ms));
@@ -643,21 +670,20 @@ pub(crate) fn budget_from_args(args: &Args) -> fpm::Budget {
     if let Some(d) = args.max_depth {
         budget = budget.with_max_depth(d);
     }
-    budget
-}
-
-/// The [`DivExplorer`] configured by the command line — shared by the
-/// cold path ([`run_with_content`]), `index` and `analyze`.
-pub(crate) fn explorer_from_args(args: &Args) -> DivExplorer {
     let mut explorer = DivExplorer::new(args.support)
         .with_algorithm(args.engine)
         .with_threads(args.threads)
         .with_prefetch(args.prefetch)
-        .with_budget(budget_from_args(args));
+        .with_budget(budget);
     if let Some(k) = args.shards {
+        if k > n_rows {
+            return Err(CliError::Usage(format!(
+                "--shards {k} exceeds the dataset's {n_rows} rows"
+            )));
+        }
         explorer = explorer.with_shards(k);
     }
-    explorer
+    Ok(explorer)
 }
 
 /// Renders an `explore`-style report (table or `--json`) including the
@@ -775,8 +801,7 @@ pub fn run_with_content(
         run_fairness(args, &prepared, out)?;
         return Ok(RunStatus::Complete);
     }
-    let explorer = explorer_from_args(args);
-    let report = explorer
+    let report = explorer_from_args(args, prepared.data.n_rows())?
         .explore(&prepared.data, &prepared.v, &prepared.u, &args.metrics)
         .map_err(|e| CliError::Input(e.to_string()))?;
     let truncation = report.completeness().truncation_reason();
@@ -919,6 +944,26 @@ b,y,0,0
 b,x,0,0
 b,y,0,1
 ";
+
+    /// A table with a numeric column, so `--bins` reaches quantile binning.
+    const NUMERIC_CSV: &str = "\
+age,grp,y,yhat
+23,a,0,1
+31,a,0,1
+45,a,0,1
+52,a,0,0
+23,b,0,0
+38,b,0,0
+61,b,0,0
+70,b,0,1
+";
+
+    fn explore_output(argv: Vec<String>, content: &str) -> Result<String, CliError> {
+        let args = Args::parse(argv)?;
+        let mut out = String::new();
+        run_with_content(&args, content, &mut out)?;
+        Ok(out)
+    }
 
     fn base_args(command: &str) -> Vec<String> {
         [
@@ -1242,6 +1287,64 @@ b,y,0,1
     }
 
     #[test]
+    fn prune_and_fdr_reject_values_their_analyses_cannot_take() {
+        // A value the analysis would assert on is a usage error up front.
+        // The knobs shared with serve have their table in `serve::tests`.
+        for (flag, bad) in [
+            ("--prune", "nan"),
+            ("--prune", "-1"),
+            ("--prune", "inf"),
+            ("--fdr", "5"),
+            ("--fdr", "nan"),
+            ("--fdr", "-0.1"),
+        ] {
+            let mut argv = base_args("explore");
+            argv.extend([flag.to_string(), bad.to_string()]);
+            let err = Args::parse(argv).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{flag} {bad}: {err}");
+            assert_eq!(err.exit_code(), 2, "{flag} {bad}");
+            assert!(err.to_string().contains(flag), "{flag} {bad}: {err}");
+        }
+        // The edges of each range are accepted.
+        for (flag, edge) in [("--prune", "0"), ("--fdr", "0"), ("--fdr", "1")] {
+            let mut argv = base_args("explore");
+            argv.extend([flag.to_string(), edge.to_string()]);
+            explore_output(argv, CSV).unwrap();
+        }
+    }
+
+    #[test]
+    fn huge_thread_bin_and_shard_counts_neither_abort_nor_hang() {
+        // Counts far beyond the data must not size an allocation or a loop.
+        let reference = explore_output(base_args("explore"), CSV).unwrap();
+        let mut argv = base_args("explore");
+        argv.extend(["--threads".to_string(), "100000000000".to_string()]);
+        assert_eq!(explore_output(argv, CSV).unwrap(), reference);
+
+        // More quantile bins than rows give the one-bin-per-value cuts.
+        let mut per_value = base_args("explore");
+        per_value.extend(["--bins".to_string(), "8".to_string()]);
+        let mut huge = base_args("explore");
+        huge.extend(["--bins".to_string(), "100000000000".to_string()]);
+        assert_eq!(
+            explore_output(huge, NUMERIC_CSV).unwrap(),
+            explore_output(per_value, NUMERIC_CSV).unwrap()
+        );
+
+        // A shard count above the row count is a typed usage error, and
+        // `index` refuses it before writing anything.
+        let dir = artifact_temp_dir("huge-shards").join("registry");
+        for mut argv in [base_args("explore"), index_args(&dir)] {
+            argv.extend(["--shards".to_string(), "1000000000000".to_string()]);
+            let err = explore_output(argv, CSV).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{err}");
+            assert!(err.to_string().contains("--shards"), "{err}");
+        }
+        assert!(!dir.exists(), "a refused index leaves no registry behind");
+        let _ = std::fs::remove_dir_all(dir.parent().unwrap());
+    }
+
+    #[test]
     fn threads_and_prefetch_flags_parse_and_reject_bad_values() {
         let mut argv = base_args("explore");
         argv.extend([
@@ -1451,6 +1554,24 @@ b,y,0,1
             seen += shard.db.len();
         }
         assert_eq!(seen, prepared.data.n_rows());
+
+        // README's out-of-core flow: the shard count steers how `index`
+        // mines, never the registry key, so a plain `analyze` finds the
+        // lattice and reproduces the cold explore byte for byte.
+        let analyze = Args::parse(vec![
+            "analyze".to_string(),
+            "--artifact".to_string(),
+            dir.to_str().unwrap().to_string(),
+            "--name".to_string(),
+            "toy".to_string(),
+            "--support".to_string(),
+            "0.25".to_string(),
+        ])
+        .unwrap();
+        let mut warm = String::new();
+        let status = artifacts::run_analyze(&analyze, &mut warm).unwrap();
+        assert_eq!(status, RunStatus::Complete);
+        assert_eq!(warm, explore_output(base_args("explore"), CSV).unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -28,7 +28,9 @@
 //!
 //! Every response carries `"ok": true|false`; a malformed line or an
 //! unknown op yields `{"ok":false,"error":...}` and the loop continues.
-//! Only `shutdown` (or end of input) ends the loop.
+//! Only `shutdown` (or end of input) ends the loop. `register`, `mine`
+//! and `query` take the CLI's `SHARED_KNOBS` as fields, checked by the
+//! flags' own rules.
 //!
 //! # Fault model (see DESIGN.md §6h)
 //!
@@ -82,30 +84,23 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use datasets::artifact::{self, ArenaKey};
-use datasets::artifact_io::{self, ArtifactIo, DiskIo};
-use divexplorer::{ArenaCache, CacheKey, DiscreteDataset, DivExplorer, SortBy};
+use datasets::artifact::{self, ArenaKey, DatasetArtifact};
+use datasets::artifact_io::{self, DiskIo};
+use divexplorer::{ArenaCache, DivExplorer, SortBy};
 use fpm::{ItemsetArena, TruncationReason};
 use obs::LiveRecorder;
 use serde_json::Value;
 
-use crate::artifacts::{candidates_of, engine_of};
-use crate::{budget_from_args, parse_engine, parse_metrics, prepare, Args, CliError};
+use crate::artifacts::mine_lattice;
+use crate::{explorer_from_args, prepare, set_knob, Args, CliError, SHARED_KNOBS};
 
 /// Default lattice-cache budget: 256 MiB of resident arenas.
 const DEFAULT_CACHE_BYTES: u64 = 256 << 20;
 
-struct Registered {
-    data: DiscreteDataset,
-    v: Vec<bool>,
-    u: Vec<bool>,
-    hash: u64,
-}
-
 struct ServeState {
     /// On-disk artifact registry, if `--artifact DIR` was given.
     dir: Option<PathBuf>,
-    datasets: HashMap<String, Registered>,
+    datasets: HashMap<String, DatasetArtifact>,
     cache: ArenaCache,
     /// The session's live telemetry plane: metrics registry and flight
     /// ring fused behind one lock — the single source of truth every
@@ -422,64 +417,30 @@ fn require(request: &Value, key: &str) -> Result<String, Value> {
     str_field(request, key).ok_or_else(|| fail(format!("'{key}' (string) is required")))
 }
 
-/// Parses the optional `support` field. A present-but-malformed value
-/// (a string `"0.1"`, an out-of-range number) is a hard request error —
-/// silently falling back to the CLI default would mine at a threshold
-/// the caller never asked for.
-fn support_field(request: &Value, args: &Args) -> Result<f64, Value> {
-    match &request["support"] {
-        Value::Null => Ok(args.support),
-        v => match v.as_f64() {
-            Some(s) if s > 0.0 && s <= 1.0 => Ok(s),
-            Some(s) => Err(fail(format!("'support' must be in (0, 1], got {s}"))),
-            None => Err(fail(
-                "'support' must be a number in (0, 1]; strings are not coerced",
-            )),
-        },
+/// The request's own [`Args`]: the session's flags with the request's
+/// [`SHARED_KNOBS`] fields overlaid, each checked by the command line's
+/// own rule ([`set_knob`]). Numeric knobs take JSON numbers only — a
+/// string `"0.1"` is never coerced — and `--request-timeout-ms` becomes
+/// the exploration deadline. A malformed field fails the request before
+/// any side effect; an absent one keeps the flag's value.
+fn request_args(args: &Args, request: &Value) -> Result<Args, Value> {
+    let mut overlaid = args.clone();
+    for knob in SHARED_KNOBS {
+        let raw = match (&request[knob], matches!(knob, "engine" | "metric")) {
+            (Value::Null, _) => continue,
+            (Value::String(s), true) => s.clone(),
+            (Value::Number(n), false) => n.to_string(),
+            (_, true) => return Err(fail(format!("'{knob}' must be a string"))),
+            (_, false) => {
+                return Err(fail(format!(
+                    "'{knob}' must be a number; strings are not coerced"
+                )))
+            }
+        };
+        set_knob(&mut overlaid, knob, &raw).map_err(|e| fail(format!("'{knob}': {e}")))?;
     }
-}
-
-/// The per-request scale knobs, defaulted from the CLI flags. Requests
-/// accept the same `threads`/`shards`/`prefetch` fields as `cli mine`
-/// and `analyze`.
-struct ScaleKnobs {
-    threads: usize,
-    shards: Option<usize>,
-    prefetch: usize,
-}
-
-/// Parses the optional scale knobs with the same strictness as
-/// `support`: a present-but-malformed value (a string `"4"`, a float, a
-/// zero where at least one is required) is a hard request error, never
-/// a silent fallback to the CLI default.
-fn scale_knobs(request: &Value, args: &Args) -> Result<ScaleKnobs, Value> {
-    let uint = |key: &str, min: u64| -> Result<Option<usize>, Value> {
-        match &request[key] {
-            Value::Null => Ok(None),
-            v => match v.as_u64() {
-                Some(n) if n >= min => Ok(Some(n as usize)),
-                _ => Err(fail(format!(
-                    "'{key}' must be an integer >= {min}; strings are not coerced"
-                ))),
-            },
-        }
-    };
-    Ok(ScaleKnobs {
-        threads: uint("threads", 1)?.unwrap_or(args.threads),
-        shards: uint("shards", 1)?.or(args.shards),
-        prefetch: uint("prefetch", 0)?.unwrap_or(args.prefetch),
-    })
-}
-
-/// Parses the optional `top` field with the same strictness.
-fn top_field(request: &Value, args: &Args) -> Result<usize, Value> {
-    match &request["top"] {
-        Value::Null => Ok(args.top),
-        v => v
-            .as_u64()
-            .map(|t| t as usize)
-            .ok_or_else(|| fail("'top' must be a non-negative integer")),
-    }
+    overlaid.timeout_ms = args.request_timeout_ms.or(args.timeout_ms);
+    Ok(overlaid)
 }
 
 /// Parses an optional label vector: JSON numbers (0/1) or booleans.
@@ -673,39 +634,22 @@ fn handle_trace(state: &ServeState, request: &Value) -> Result<Value, Value> {
 
 fn handle_register(state: &mut ServeState, args: &Args, request: &Value) -> Result<Value, Value> {
     let name = require(request, "name")?;
+    let mut csv_args = request_args(args, request)?;
     let registered = if let Some(path) = str_field(request, "artifact") {
         // A persisted dataset artifact: decoding re-validates checksum,
         // schema and the one-hot invariant.
-        let ds =
-            artifact::load_dataset(Path::new(&path)).map_err(|e| fail(format!("{path}: {e}")))?;
-        Registered {
-            data: ds.data,
-            v: ds.v,
-            u: ds.u,
-            hash: ds.hash,
-        }
+        artifact::load_dataset(Path::new(&path)).map_err(|e| fail(format!("{path}: {e}")))?
     } else {
         let path = require(request, "path")?;
-        let mut csv_args = args.clone();
         csv_args.label = require(request, "label")?;
         csv_args.pred = require(request, "pred")?;
-        match &request["bins"] {
-            Value::Null => {}
-            v => {
-                csv_args.bins = v
-                    .as_u64()
-                    .ok_or_else(|| fail("'bins' must be a non-negative integer"))?
-                    as usize;
-            }
-        }
         let content = std::fs::read_to_string(&path).map_err(|e| fail(format!("{path}: {e}")))?;
         let prepared = prepare(&content, &csv_args).map_err(|e| fail(e.to_string()))?;
-        let hash = artifact::dataset_hash(&prepared.data);
-        Registered {
+        DatasetArtifact {
+            hash: artifact::dataset_hash(&prepared.data),
             data: prepared.data,
             v: prepared.v,
             u: prepared.u,
-            hash,
         }
     };
     let rows = registered.data.n_rows();
@@ -719,16 +663,6 @@ fn handle_register(state: &mut ServeState, args: &Args, request: &Value) -> Resu
             ("hash", text(format!("{hash:016x}"))),
         ],
     ))
-}
-
-/// The per-request mining/recount budget: the CLI-wide budget, with the
-/// per-request deadline (`--request-timeout-ms`) layered on top.
-fn request_budget(args: &Args) -> fpm::Budget {
-    let mut budget = budget_from_args(args);
-    if let Some(ms) = args.request_timeout_ms {
-        budget = budget.with_timeout(std::time::Duration::from_millis(ms));
-    }
-    budget
 }
 
 /// Maps a truncation to a soft error, counting deadline expiries.
@@ -749,128 +683,51 @@ fn truncation_failure(reason: TruncationReason, what: &str) -> Value {
     }
 }
 
-/// Moves a poisoned registry artifact aside and records the recovery.
-/// Never fails the request: if even the rename fails, the warning says
-/// so and the rebuild proceeds regardless.
-fn quarantine_artifact(path: &Path, why: &str, warnings: &mut Vec<String>) {
-    obs::counter("serve.quarantines", 1);
-    match artifact::quarantine(&DiskIo, path) {
-        Ok(dest) => warnings.push(format!(
-            "{}: {why}; quarantined to {} and re-mining",
-            path.display(),
-            dest.display()
-        )),
-        Err(e) => warnings.push(format!(
-            "{}: {why}; quarantine rename failed ({e}); re-mining anyway",
-            path.display()
-        )),
-    }
-}
-
-/// The mine-or-load path shared by `mine` and `query`: cache, then the
-/// on-disk registry, then a cold mine (written through to disk when a
-/// registry directory is configured). A poisoned registry artifact is
-/// quarantined and transparently rebuilt; every recovery step lands in
-/// `warnings`.
+/// The mine-or-load path shared by `mine` and `query`: the cache, then
+/// the on-disk registry through [`artifact::resolve_lattice`] (verify,
+/// quarantine a poisoned slot, mine, write through), or a plain cold
+/// mine without `--artifact`. Every recovery step lands in `warnings`.
+/// Also returns the request's explorer, built first so a bad shard count
+/// fails before any cache or registry access.
 fn ensure_lattice(
     state: &mut ServeState,
     args: &Args,
-    request: &Value,
     name: &str,
     warnings: &mut Vec<String>,
-) -> Result<(Arc<ItemsetArena<()>>, &'static str, f64), Value> {
-    // Parse the engine before any cache or registry access: lattices are
-    // keyed by its canonical name, never by the client's spelling.
-    let algorithm = match str_field(request, "engine") {
-        Some(spelled) => parse_engine(&spelled).map_err(|e| fail(e.to_string()))?,
-        None => engine_of(args),
-    };
-    let engine = algorithm.to_string();
-    let support = support_field(request, args)?;
-    let knobs = scale_knobs(request, args)?;
+) -> Result<(Arc<ItemsetArena<()>>, &'static str, DivExplorer), Value> {
     let reg = state
         .datasets
         .get(name)
         .ok_or_else(|| fail(format!("dataset '{name}' is not registered")))?;
-    let n = reg.data.n_rows();
-    let params = fpm::MiningParams::with_min_support_fraction(support, n);
-    let cache_key = CacheKey {
-        dataset_hash: reg.hash,
-        min_support_count: params.min_support_count,
-        engine: engine.clone(),
-        max_len: None,
-    };
-    if let Some(arena) = state.cache.get(&cache_key) {
-        return Ok((arena, "cache", support));
+    let explorer = explorer_from_args(args, reg.data.n_rows()).map_err(|e| fail(e.to_string()))?;
+    let key = ArenaKey::new(reg.hash, reg.data.n_rows(), args.support, args.engine);
+    if let Some(arena) = state.cache.get(&key) {
+        return Ok((arena, "cache", explorer));
     }
-    let arena_key = ArenaKey {
-        dataset_hash: reg.hash,
-        min_support_count: params.min_support_count,
-        max_len: None,
-        engine,
-        n_rows: n as u64,
+    let mine = || {
+        mine_lattice(args, &reg.data, &reg.v, &reg.u).map_err(|e| match e {
+            CliError::Truncated(reason) => truncation_failure(reason, "mining"),
+            other => fail(other.to_string()),
+        })
     };
-    if let Some(dir) = &state.dir {
-        let path = dir.join(artifact::arena_file_name(&arena_key));
-        if DiskIo.exists(&path) {
-            // A poisoned registry file (bad checksum, truncation,
-            // version skew, key mismatch) is quarantined and rebuilt;
-            // the service never recounts unverified bytes, but it also
-            // never lets one bad file poison the session.
-            match artifact::load_arena(&path) {
-                Ok((loaded_key, candidates)) if loaded_key == arena_key => {
-                    let arena = Arc::new(candidates);
-                    state.cache.insert(cache_key, Arc::clone(&arena));
-                    return Ok((arena, "artifact", support));
-                }
-                Ok(_) => quarantine_artifact(
-                    &path,
-                    "artifact key does not match its file name",
-                    warnings,
-                ),
-                Err(e) => quarantine_artifact(&path, &e.to_string(), warnings),
+    let (lattice, source) = match &state.dir {
+        None => (mine()?, "mined"),
+        Some(dir) => {
+            let path = dir.join(artifact::arena_file_name(&key));
+            let resolved = artifact::resolve_lattice(&DiskIo, &path, &key, mine)?;
+            if resolved.quarantined {
+                obs::counter("serve.quarantines", 1);
             }
+            if resolved.persist_failed {
+                obs::counter("serve.persist_failures", 1);
+            }
+            warnings.extend(resolved.warnings);
+            (resolved.lattice, resolved.source)
         }
-    }
-    let reg = &state.datasets[name];
-    // The scale knobs steer *how* the lattice is mined, never what it
-    // contains — sharded/parallel/prefetched runs are bit-identical —
-    // so they are deliberately absent from the cache and artifact keys.
-    let mut explorer = DivExplorer::new(support)
-        .with_algorithm(algorithm)
-        .with_threads(knobs.threads)
-        .with_prefetch(knobs.prefetch)
-        .with_budget(request_budget(args));
-    if let Some(k) = knobs.shards {
-        explorer = explorer.with_shards(k);
-    }
-    let report = explorer
-        .explore(&reg.data, &reg.v, &reg.u, &args.metrics)
-        .map_err(|e| fail(e.to_string()))?;
-    if let Some(reason) = report.completeness().truncation_reason() {
-        return Err(truncation_failure(reason, "mining"));
-    }
-    let candidates = candidates_of(&report);
-    if let Some(dir) = &state.dir {
-        // Write-through persistence is best-effort: a full or failing
-        // disk degrades to serving from memory, never to a failed
-        // request. The atomic-write protocol guarantees the registry
-        // file is all-old or all-new even if we crash right here.
-        let path = dir.join(artifact::arena_file_name(&arena_key));
-        let persisted = DiskIo
-            .create_dir_all(dir)
-            .map_err(artifact::ArtifactError::from)
-            .and_then(|()| artifact::save_arena(&path, &arena_key, &candidates));
-        if let Err(e) = persisted {
-            obs::counter("serve.persist_failures", 1);
-            warnings.push(format!(
-                "artifact registry write failed ({e}); serving from memory only"
-            ));
-        }
-    }
-    let arena = Arc::new(candidates);
-    state.cache.insert(cache_key, Arc::clone(&arena));
-    Ok((arena, "mined", support))
+    };
+    let arena = Arc::new(lattice);
+    state.cache.insert(key, Arc::clone(&arena));
+    Ok((arena, source, explorer))
 }
 
 /// Appends the warnings array to a successful response, if any.
@@ -888,15 +745,16 @@ fn with_warnings(mut response: Value, warnings: Vec<String>) -> Value {
 
 fn handle_mine(state: &mut ServeState, args: &Args, request: &Value) -> Result<Value, Value> {
     let name = require(request, "name")?;
+    let args = request_args(args, request)?;
     let mut warnings = Vec::new();
-    let (arena, source, support) = ensure_lattice(state, args, request, &name, &mut warnings)?;
+    let (arena, source, _) = ensure_lattice(state, &args, &name, &mut warnings)?;
     Ok(with_warnings(
         ok(
             "mine",
             vec![
                 ("name", text(name)),
                 ("patterns", num(arena.len() as u64)),
-                ("support", Value::Number(support)),
+                ("support", Value::Number(args.support)),
                 ("source", text(source)),
             ],
         ),
@@ -909,12 +767,7 @@ fn handle_query(state: &mut ServeState, args: &Args, request: &Value) -> Result<
     // Validate every request field before ensure_lattice: a malformed
     // request must fail fast without side effects (no mine, no
     // quarantine, no registry write).
-    let top = top_field(request, args)?;
-    let knobs = scale_knobs(request, args)?;
-    let metrics = match str_field(request, "metric") {
-        Some(spec) => parse_metrics(&spec).map_err(|e| fail(e.to_string()))?,
-        None => args.metrics.clone(),
-    };
+    let args = request_args(args, request)?;
     let n_rows = state
         .datasets
         .get(&name)
@@ -926,22 +779,15 @@ fn handle_query(state: &mut ServeState, args: &Args, request: &Value) -> Result<
         Some(bool_vector(&request["u"], n_rows)?)
     };
     let mut warnings = Vec::new();
-    let (arena, source, support) = ensure_lattice(state, args, request, &name, &mut warnings)?;
+    let (arena, source, explorer) = ensure_lattice(state, &args, &name, &mut warnings)?;
     let reg = &state.datasets[&name];
     let u: &[bool] = u_override.as_deref().unwrap_or(&reg.u);
 
     // The warm path: one streaming recount against the shared lattice,
     // no mining phase (see DESIGN.md §6g). The scale knobs drive the
     // recount pipeline too — same tallies, different wall clock.
-    let mut explorer = DivExplorer::new(support)
-        .with_threads(knobs.threads)
-        .with_prefetch(knobs.prefetch)
-        .with_budget(request_budget(args));
-    if let Some(k) = knobs.shards {
-        explorer = explorer.with_shards(k);
-    }
     let report = explorer
-        .from_artifact(&reg.data, &arena, &reg.v, u, &metrics)
+        .from_artifact(&reg.data, &arena, &reg.v, u, &args.metrics)
         .map_err(|e| fail(e.to_string()))?;
     if let Some(reason) = report.completeness().truncation_reason() {
         // The recount engine emits nothing when cut mid-phase, so a
@@ -951,7 +797,7 @@ fn handle_query(state: &mut ServeState, args: &Args, request: &Value) -> Result<
     }
 
     let mut rows = Vec::new();
-    for idx in report.top_k(0, top, SortBy::Divergence) {
+    for idx in report.top_k(0, args.top, SortBy::Divergence) {
         rows.push(obj(vec![
             ("itemset", text(report.display_itemset(report.items(idx)))),
             ("support", Value::Number(report.support_fraction(idx))),
@@ -964,7 +810,7 @@ fn handle_query(state: &mut ServeState, args: &Args, request: &Value) -> Result<
             "query",
             vec![
                 ("name", text(name)),
-                ("metric", text(metrics[0].short_name())),
+                ("metric", text(args.metrics[0].short_name())),
                 ("dataset_rate", Value::Number(report.dataset_rate(0))),
                 ("patterns", num(report.len() as u64)),
                 ("source", text(source)),
@@ -1363,6 +1209,162 @@ b,y,0,1
         // The malformed-shards query must not have mined anything: the
         // first well-formed query is the one that reports "mined".
         assert_eq!(responses[4]["source"].as_str(), Some("mined"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// (knob, command-line value, request JSON value): each value breaks
+    /// the knob's one rule. JSON cannot spell NaN, so the request side
+    /// uses a string where the command line uses a non-number.
+    const BAD_KNOBS: [(&str, &str, &str); 16] = [
+        ("support", "0", "0"),
+        ("support", "1.5", "1.5"),
+        ("support", "-0.25", "-0.25"),
+        ("support", "nan", r#""0.25""#),
+        ("engine", "apriori", r#""apriori""#),
+        ("metric", "NOPE", r#""NOPE""#),
+        ("top", "-1", "-1"),
+        ("top", "2.5", "2.5"),
+        ("bins", "0", "0"),
+        ("bins", "-3", r#""3""#),
+        ("threads", "0", "0"),
+        ("threads", "1.5", "1.5"),
+        ("shards", "0", "0"),
+        ("shards", "-2", "-2"),
+        ("prefetch", "-1", "-1"),
+        ("prefetch", "0.5", "0.5"),
+    ];
+
+    #[test]
+    fn bad_knob_values_are_rejected_alike_by_the_cli_and_serve() {
+        let dir = temp_dir("bad-knobs");
+        let csv_path = dir.join("toy.csv");
+        std::fs::write(&csv_path, CSV).unwrap();
+        let mut requests = vec![register_line(&csv_path)];
+        for (knob, _, json) in BAD_KNOBS {
+            requests.push(format!(
+                r#"{{"op":"register","name":"again","path":"{}","label":"y","pred":"yhat","{knob}":{json}}}"#,
+                csv_path.display()
+            ));
+            requests.push(format!(r#"{{"op":"mine","name":"toy","{knob}":{json}}}"#));
+            requests.push(format!(r#"{{"op":"query","name":"toy","{knob}":{json}}}"#));
+        }
+        requests.push(r#"{"op":"stats"}"#.to_string());
+        let lines: Vec<&str> = requests.iter().map(String::as_str).collect();
+        let responses = drive(&serve_args(""), &lines);
+        assert_eq!(responses.len(), lines.len());
+        assert_eq!(responses[0]["ok"].as_bool(), Some(true));
+
+        for (i, (knob, cli, _)) in BAD_KNOBS.iter().enumerate() {
+            let argv = format!("explore --input mem.csv --label y --pred yhat --{knob} {cli}");
+            let err = Args::parse(argv.split_whitespace().map(String::from)).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "--{knob} {cli}: {err}");
+            assert!(err.to_string().contains(&format!("--{knob}")), "{err}");
+
+            for r in &responses[1 + 3 * i..4 + 3 * i] {
+                assert_eq!(r["ok"].as_bool(), Some(false), "{knob}: {r:?}");
+                let error = r["error"].as_str().unwrap();
+                assert!(error.contains(&format!("'{knob}'")), "{knob}: {error}");
+            }
+        }
+        let stats = responses.last().unwrap();
+        assert_eq!(stats["datasets"].as_u64(), Some(1), "{stats:?}");
+        assert_eq!(stats["cached_lattices"].as_u64(), Some(0), "{stats:?}");
+        assert_eq!(stats["panics"].as_u64(), Some(0), "{stats:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hostile_knob_values_get_one_reply_each_and_never_panic() {
+        // Counts far beyond the data must not size an allocation or a
+        // loop: each line gets one reply and no handler panics.
+        let dir = temp_dir("hostile-knobs");
+        let csv_path = dir.join("ages.csv");
+        std::fs::write(
+            &csv_path,
+            "age,grp,y,yhat\n23,a,0,1\n31,a,0,1\n45,a,0,1\n52,a,0,0\n\
+             23,b,0,0\n38,b,0,0\n61,b,0,0\n70,b,0,1\n",
+        )
+        .unwrap();
+        let register = |name: &str, extra: &str| {
+            format!(
+                r#"{{"op":"register","name":"{name}","path":"{}","label":"y","pred":"yhat"{extra}}}"#,
+                csv_path.display()
+            )
+        };
+        let lines = [
+            register("ages", ""),
+            r#"{"op":"query","name":"ages","support":0.25,"top":3}"#.to_string(),
+            r#"{"op":"query","name":"ages","support":0.25,"top":3,"engine":"dense","threads":100000000000}"#.to_string(),
+            r#"{"op":"query","name":"ages","support":0.25,"top":3,"engine":"eclat","shards":1000000000000}"#.to_string(),
+            register("wide", r#","bins":100000000000"#),
+            register("none", r#","bins":0"#),
+            r#"{"op":"stats"}"#.to_string(),
+        ];
+        let lines: Vec<&str> = lines.iter().map(String::as_str).collect();
+        let responses = drive(&serve_args(""), &lines);
+        assert_eq!(responses.len(), lines.len(), "{responses:?}");
+        for i in [0, 1, 2, 4] {
+            assert_eq!(
+                responses[i]["ok"].as_bool(),
+                Some(true),
+                "{i}: {:?}",
+                responses[i]
+            );
+        }
+        // The parallel engine mined the same lattice with one worker per
+        // root subtree.
+        assert_eq!(responses[2]["source"].as_str(), Some("mined"));
+        assert_eq!(responses[2]["patterns"], responses[1]["patterns"]);
+        assert_eq!(responses[2]["results"], responses[1]["results"]);
+        for (i, field) in [(3, "shards"), (5, "bins")] {
+            assert_eq!(responses[i]["ok"].as_bool(), Some(false), "{i}");
+            let error = responses[i]["error"].as_str().unwrap();
+            assert!(error.contains(field), "{error}");
+        }
+        let stats = &responses[6];
+        assert_eq!(stats["panics"].as_u64(), Some(0), "{stats:?}");
+        assert_eq!(stats["datasets"].as_u64(), Some(2), "{stats:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_registry_indexed_with_shards_is_served_from_its_artifact() {
+        // `index --shards` and serve key the lattice alike, so serve
+        // loads the indexed `.dxa` instead of mining a second copy.
+        let dir = temp_dir("sharded-index");
+        let registry = dir.join("registry");
+        let argv = format!(
+            "index --input mem.csv --label y --pred yhat --support 0.25 --name toy \
+             --format dxs --shards 3 --artifact {}",
+            registry.display()
+        );
+        let index = Args::parse(argv.split_whitespace().map(String::from)).unwrap();
+        crate::run_with_content(&index, CSV, &mut String::new()).unwrap();
+
+        let register = format!(
+            r#"{{"op":"register","name":"toy","artifact":"{}"}}"#,
+            registry.join("toy.dxd").display()
+        );
+        let responses = drive(
+            &serve_args(registry.to_str().unwrap()),
+            &[&register, r#"{"op":"mine","name":"toy","support":0.25}"#],
+        );
+        assert_eq!(
+            responses[1]["source"].as_str(),
+            Some("artifact"),
+            "{responses:?}"
+        );
+        let dxa = std::fs::read_dir(&registry)
+            .unwrap()
+            .filter(|e| {
+                e.as_ref()
+                    .unwrap()
+                    .path()
+                    .extension()
+                    .is_some_and(|x| x == "dxa")
+            })
+            .count();
+        assert_eq!(dxa, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -38,6 +38,7 @@
 use std::path::Path;
 use std::sync::Mutex;
 
+pub use divexplorer::ArenaKey;
 use divexplorer::{DiscreteDataset, Schema};
 use fpm::kernels::AlignedWords;
 use fpm::ItemsetArena;
@@ -546,24 +547,6 @@ pub fn load_dataset_with(
 // ---------------------------------------------------------------------
 // Arena artifacts
 
-/// What a persisted lattice was mined from and under which parameters —
-/// the registry key. A recount is only sound against the same dataset
-/// (by content hash) at the same or a stricter threshold.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ArenaKey {
-    /// [`dataset_hash`] of the mined table.
-    pub dataset_hash: u64,
-    /// Absolute support-count threshold the lattice was mined at.
-    pub min_support_count: u64,
-    /// Itemset length cap, if one applied.
-    pub max_len: Option<usize>,
-    /// Mining backend name (`fpm::Algorithm` display form). Engines
-    /// agree on the lattice; the key keeps them distinct for telemetry.
-    pub engine: String,
-    /// Rows of the mined table, for threshold arithmetic on load.
-    pub n_rows: u64,
-}
-
 /// Serializes a mined candidate lattice (items + supports; payload
 /// tallies are recomputed by the recount) into artifact bytes.
 pub fn encode_arena(key: &ArenaKey, arena: &ItemsetArena<()>) -> Vec<u8> {
@@ -1061,7 +1044,7 @@ pub fn load_shards(path: &Path) -> Result<CompressedShardSource, ArtifactError> 
 }
 
 // ---------------------------------------------------------------------
-// Quarantine
+// Quarantine and resolution
 
 /// Suffix appended to a poisoned artifact when it is quarantined.
 pub const QUARANTINE_SUFFIX: &str = "quarantine";
@@ -1084,6 +1067,79 @@ pub fn quarantine(io: &dyn ArtifactIo, path: &Path) -> Result<std::path::PathBuf
     io.rename(path, &dest)?;
     obs::counter("artifact.quarantined", 1);
     Ok(dest)
+}
+
+/// A registry slot resolved by [`resolve_lattice`].
+#[derive(Debug)]
+pub struct Resolved {
+    /// The verified or freshly mined candidate lattice.
+    pub lattice: ItemsetArena<()>,
+    /// `"artifact"` when the slot verified against the key, `"mined"`
+    /// when the mine step ran.
+    pub source: &'static str,
+    /// One line per recovery step (quarantine, failed write-back).
+    pub warnings: Vec<String>,
+    /// The slot failed verification and a quarantine was attempted.
+    pub quarantined: bool,
+    /// Writing the mined lattice back failed; it is served from memory.
+    pub persist_failed: bool,
+}
+
+/// Resolves the registry slot `path` for `key`, the one ladder behind
+/// `analyze` and `serve` (DESIGN.md §6h): a slot that decodes to exactly
+/// `key` is the answer; any other occupant is [`quarantine`]d, since
+/// derived state is never trusted unverified nor worth failing over;
+/// then `mine` runs and its lattice is written back crash-safely. Only
+/// `mine` can fail the call: a failed rename or write-back is a warning.
+pub fn resolve_lattice<E>(
+    io: &dyn ArtifactIo,
+    path: &Path,
+    key: &ArenaKey,
+    mine: impl FnOnce() -> Result<ItemsetArena<()>, E>,
+) -> Result<Resolved, E> {
+    let mut warnings = Vec::new();
+    let occupied = io.exists(path);
+    if occupied {
+        let why = match load_arena_with(io, path) {
+            Ok((loaded, lattice)) if loaded == *key => {
+                return Ok(Resolved {
+                    lattice,
+                    source: "artifact",
+                    warnings,
+                    quarantined: false,
+                    persist_failed: false,
+                })
+            }
+            Ok(_) => "artifact key does not match its file name".to_string(),
+            Err(e) => e.to_string(),
+        };
+        let shown = path.display();
+        warnings.push(match quarantine(io, path) {
+            Ok(dest) => format!(
+                "{shown}: {why}; quarantined to {} and re-mining",
+                dest.display()
+            ),
+            Err(e) => format!("{shown}: {why}; quarantine rename failed ({e}); re-mining anyway"),
+        });
+    }
+    let lattice = mine()?;
+    let persisted = match path.parent().filter(|dir| !dir.as_os_str().is_empty()) {
+        Some(dir) => io.create_dir_all(dir).map_err(ArtifactError::from),
+        None => Ok(()),
+    }
+    .and_then(|()| save_arena_with(io, path, key, &lattice));
+    if let Err(e) = &persisted {
+        warnings.push(format!(
+            "artifact registry write failed ({e}); serving from memory only"
+        ));
+    }
+    Ok(Resolved {
+        lattice,
+        source: "mined",
+        warnings,
+        quarantined: occupied,
+        persist_failed: persisted.is_err(),
+    })
 }
 
 // ---------------------------------------------------------------------

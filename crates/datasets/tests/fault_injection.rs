@@ -11,9 +11,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use datasets::artifact::{self, ArenaKey};
-use datasets::artifact_io::{
-    atomic_write, ArtifactIo, DiskIo, Fault, FaultyIo, MemIo, RETRY_LIMIT,
-};
+use datasets::artifact_io::{ArtifactIo, DiskIo, Fault, FaultyIo, MemIo, RETRY_LIMIT};
 use fpm::ItemsetArena;
 use proptest::prelude::*;
 
@@ -25,6 +23,18 @@ fn arena_with(tag: u64, n: usize) -> ItemsetArena<()> {
     }
     arena
 }
+
+/// The lattice's records (items, support), for comparing arenas.
+fn records(arena: &ItemsetArena<()>) -> Vec<(Vec<u32>, u64)> {
+    arena
+        .iter()
+        .map(|e| (e.items.to_vec(), e.support))
+        .collect()
+}
+
+/// Bytes that fail artifact validation, as a torn-but-applied write or
+/// bit rot would leave them.
+const POISON: &[u8] = b"DIVXgarbage-not-a-valid-artifact";
 
 fn registry_key(hash: u64) -> ArenaKey {
     ArenaKey {
@@ -115,6 +125,41 @@ proptest! {
         let io = FaultyIo::new(Arc::clone(&disk), vec![Fault::Transient { count }]);
         artifact::save_arena_with(&io, &path, &key, &arena).unwrap();
         prop_assert_eq!(disk.contents(&path).unwrap(), expected);
+    }
+
+    /// The resolver under every fault schedule: a poisoned slot yields
+    /// exactly the mine step's lattice plus a quarantine warning, and
+    /// afterwards the slot either decodes to the key (holding that same
+    /// lattice) or the resolver reported a failed write-back. Never
+    /// another lattice, never a panic.
+    #[test]
+    fn a_poisoned_slot_resolves_to_the_mined_lattice_under_any_fault_schedule(
+        plan in fault_plan(),
+        n in 1usize..8,
+    ) {
+        let key = registry_key(29);
+        let mined = records(&arena_with(100, n));
+        let path = PathBuf::from("reg/x.dxa");
+
+        let disk = Arc::new(MemIo::new());
+        disk.write(&path, POISON).unwrap();
+        let io = FaultyIo::new(Arc::clone(&disk), plan);
+        let resolved =
+            artifact::resolve_lattice(&io, &path, &key, || Ok::<_, ()>(arena_with(100, n)))
+                .unwrap();
+
+        prop_assert_eq!(resolved.source, "mined");
+        prop_assert_eq!(records(&resolved.lattice), mined.clone());
+        prop_assert!(resolved.quarantined);
+        prop_assert!(resolved.warnings[0].contains("quarantine"), "{:?}", resolved.warnings);
+        let wrote_back = resolved.warnings.iter().any(|w| w.contains("registry write failed"));
+        prop_assert_eq!(wrote_back, resolved.persist_failed);
+        match artifact::load_arena_with(&*disk, &path) {
+            Ok((loaded_key, loaded)) if loaded_key == key => {
+                prop_assert_eq!(records(&loaded), mined);
+            }
+            _ => prop_assert!(resolved.persist_failed, "slot lost without a warning"),
+        }
     }
 }
 
@@ -271,28 +316,38 @@ fn concurrent_writers_to_the_same_key_never_tear_the_artifact() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The quarantine flow end to end on a fault-injecting backend: a
-/// poisoned slot moves to `*.quarantine`, the slot is rebuilt with
-/// `atomic_write`, and both files are where forensics expects them.
+/// The quarantine flow end to end through the resolver: a poisoned slot
+/// moves to `*.quarantine`, the slot is rebuilt with `atomic_write`, and
+/// both files are where forensics expects them.
 #[test]
 fn quarantine_then_rebuild_restores_the_registry_slot() {
     let key = registry_key(23);
     let good = arena_with(1, 5);
     let good_bytes = artifact::encode_arena(&key, &good);
     let path = PathBuf::from("reg/x.dxa");
+    let dest = artifact::quarantine_path(&path);
 
     let disk = Arc::new(MemIo::new());
     // A torn-but-applied write left garbage... simulate poison directly.
-    disk.write(&path, b"DIVXgarbage-not-a-valid-artifact")
-        .unwrap();
+    disk.write(&path, POISON).unwrap();
     assert!(artifact::load_arena_with(&*disk, &path).is_err());
 
-    let dest = artifact::quarantine(&*disk, &path).unwrap();
-    assert_eq!(dest, artifact::quarantine_path(&path));
-    assert!(!disk.exists(&path), "slot freed");
-    assert!(disk.exists(&dest), "poisoned bytes kept for forensics");
+    // The mine step runs between the quarantine and the rebuild.
+    let resolved = artifact::resolve_lattice(&*disk, &path, &key, || {
+        assert!(!disk.exists(&path), "slot freed");
+        assert!(disk.exists(&dest), "poisoned bytes kept for forensics");
+        Ok::<_, ()>(arena_with(1, 5))
+    })
+    .unwrap();
+    assert_eq!(resolved.warnings.len(), 1, "{:?}", resolved.warnings);
+    assert!(
+        resolved.warnings[0].contains(&format!("quarantined to {}", dest.display())),
+        "{:?}",
+        resolved.warnings
+    );
+    assert_eq!(disk.contents(&dest).unwrap(), POISON);
 
-    atomic_write(&*disk, &path, &good_bytes).unwrap();
+    assert_eq!(disk.contents(&path).unwrap(), good_bytes);
     let (loaded_key, loaded) = artifact::load_arena_with(&*disk, &path).unwrap();
     assert_eq!(loaded_key, key);
     assert_eq!(loaded.len(), good.len());

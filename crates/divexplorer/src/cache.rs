@@ -1,8 +1,8 @@
 //! Warm in-memory registry of mined candidate lattices.
 //!
 //! [`ArenaCache`] holds the candidate lattices the artifact layer
-//! persists — keyed by `(dataset hash, support, engine, max_len)`, the
-//! same key the on-disk registry uses — so a resident analysis service
+//! persists — keyed by [`ArenaKey`], the same key the on-disk registry
+//! stores in every `.dxa` file — so a resident analysis service
 //! pays the mine (or the artifact load) once and serves every following
 //! query from memory. Entries are [`Arc`]-shared immutable arenas:
 //! exploration queries (top-k divergence, Shapley, corrective items)
@@ -21,19 +21,41 @@ use std::sync::Arc;
 
 use fpm::ItemsetArena;
 
-/// What a cached lattice was mined from and under which parameters.
-/// Mirrors the on-disk artifact key (`datasets::artifact::ArenaKey`)
-/// minus the row count, which the dataset hash already pins.
+/// What a lattice was mined from and under which parameters: the key of
+/// both the [`ArenaCache`] and the on-disk artifact registry
+/// (`datasets::artifact` re-exports it and stores it in every `.dxa`).
+/// A recount is only sound against the same dataset (by content hash)
+/// at the same or a stricter threshold.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CacheKey {
+pub struct ArenaKey {
     /// Content hash of the mined table.
     pub dataset_hash: u64,
     /// Absolute support-count threshold the lattice was mined at.
     pub min_support_count: u64,
-    /// Mining backend name (`fpm::Algorithm` display form).
-    pub engine: String,
     /// Itemset length cap, if one applied.
     pub max_len: Option<usize>,
+    /// Mining backend name (`fpm::Algorithm` display form). Engines
+    /// agree on the lattice; the key keeps them distinct for telemetry.
+    pub engine: String,
+    /// Rows of the mined table, for threshold arithmetic on load.
+    pub n_rows: u64,
+}
+
+impl ArenaKey {
+    /// The key of the full lattice `engine` mines from a table of
+    /// `n_rows` rows with content hash `dataset_hash` at relative
+    /// support `support`. How the mine runs (threads, shards, prefetch)
+    /// never changes the lattice, so it never enters the key.
+    pub fn new(dataset_hash: u64, n_rows: usize, support: f64, engine: fpm::Algorithm) -> Self {
+        ArenaKey {
+            dataset_hash,
+            min_support_count: fpm::MiningParams::with_min_support_fraction(support, n_rows)
+                .min_support_count,
+            max_len: None,
+            engine: engine.to_string(),
+            n_rows: n_rows as u64,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -52,7 +74,7 @@ pub struct ArenaCache {
     hits: u64,
     misses: u64,
     evictions: u64,
-    slots: HashMap<CacheKey, Slot>,
+    slots: HashMap<ArenaKey, Slot>,
 }
 
 impl ArenaCache {
@@ -105,7 +127,7 @@ impl ArenaCache {
 
     /// Looks up a lattice, refreshing its LRU position. Publishes a
     /// `divexplorer.cache.hit` or `.miss` counter either way.
-    pub fn get(&mut self, key: &CacheKey) -> Option<Arc<ItemsetArena<()>>> {
+    pub fn get(&mut self, key: &ArenaKey) -> Option<Arc<ItemsetArena<()>>> {
         self.tick += 1;
         match self.slots.get_mut(key) {
             Some(slot) => {
@@ -125,7 +147,7 @@ impl ArenaCache {
     /// Inserts (or replaces) a lattice and evicts LRU entries until the
     /// byte budget holds again, never evicting `key` itself. Returns the
     /// number of evictions.
-    pub fn insert(&mut self, key: CacheKey, arena: Arc<ItemsetArena<()>>) -> usize {
+    pub fn insert(&mut self, key: ArenaKey, arena: Arc<ItemsetArena<()>>) -> usize {
         self.tick += 1;
         let bytes = arena.approx_bytes();
         if let Some(old) = self.slots.remove(&key) {
@@ -166,7 +188,7 @@ impl ArenaCache {
     /// caches and returns it. Counters record the hit or miss.
     pub fn get_or_insert_with(
         &mut self,
-        key: &CacheKey,
+        key: &ArenaKey,
         build: impl FnOnce() -> ItemsetArena<()>,
     ) -> Arc<ItemsetArena<()>> {
         if let Some(arena) = self.get(key) {
@@ -182,13 +204,8 @@ impl ArenaCache {
 mod tests {
     use super::*;
 
-    fn key(tag: u64) -> CacheKey {
-        CacheKey {
-            dataset_hash: tag,
-            min_support_count: 2,
-            engine: "dense".to_string(),
-            max_len: None,
-        }
+    fn key(tag: u64) -> ArenaKey {
+        ArenaKey::new(tag, 8, 0.25, fpm::Algorithm::Dense)
     }
 
     fn arena(n: usize) -> Arc<ItemsetArena<()>> {

@@ -80,6 +80,9 @@ fn uniform_cuts(values: &[f64], k: usize) -> Vec<f64> {
 
 fn quantile_cuts(values: &[f64], k: usize) -> Vec<f64> {
     assert!(k >= 1, "need at least one bin");
+    // Past one bin per value every extra cut repeats a value and dedups
+    // away: capping `k` at the value count yields the same cuts.
+    let k = k.min(values.len());
     if k == 1 {
         return Vec::new();
     }
@@ -156,6 +159,17 @@ mod tests {
         // are dropped because a cut at the minimum makes an empty bin.
         assert!(d.labels.len() <= 2);
         assert!(d.codes.contains(&0));
+    }
+
+    #[test]
+    fn quantile_bins_beyond_the_row_count_give_the_per_value_cuts() {
+        let values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0, 3.0];
+        let per_value = discretize(&values, &BinningStrategy::Quantile(values.len()));
+        assert_eq!(per_value.cuts, vec![2.0, 3.0, 4.0, 5.0, 6.0, 9.0]);
+        for k in [values.len() + 1, 1 << 20, 1 << 40] {
+            let d = discretize(&values, &BinningStrategy::Quantile(k));
+            assert_eq!(d, per_value, "k = {k}");
+        }
     }
 
     #[test]

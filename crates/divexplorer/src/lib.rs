@@ -88,7 +88,7 @@ pub mod shapley;
 pub mod stats;
 pub mod summary;
 
-pub use cache::{ArenaCache, CacheKey};
+pub use cache::{ArenaCache, ArenaKey};
 pub use compare::{compare_models, disagreement_report, ModelComparison};
 pub use continuous::{explore_statistic, ContinuousReport, MomentCounts};
 pub use counts::{MultiCounts, OutcomeCounts, MAX_METRICS};

@@ -270,23 +270,42 @@ impl<P: Payload> ItemsetSink<P> for DenseWorkerSink<'_, '_, P> {
     }
 }
 
-/// Joins the worker shards; a panic that escaped the per-root
-/// `catch_unwind` (e.g. in the loop glue) loses that worker's shard but
-/// still degrades gracefully.
-fn join_workers<'scope, P: Payload>(
-    handles: Vec<std::thread::ScopedJoinHandle<'scope, ItemsetArena<P>>>,
+/// Runs `work(worker, n_workers)` on at most one scoped worker per root
+/// subtree, so a thread count far above the root count spawns and sizes
+/// nothing extra, and joins the worker shards. Each worker
+/// adopts the caller's request context, so its telemetry stays
+/// attributable to the originating request. A panic that escaped the
+/// per-root `catch_unwind` (e.g. in the loop glue) loses that worker's
+/// shard but still degrades gracefully.
+fn run_workers<P: Payload + Send>(
+    n_threads: usize,
+    n_roots: usize,
     shared: &SharedLimits<'_>,
+    work: impl Fn(usize, usize) -> ItemsetArena<P> + Sync,
 ) -> Vec<ItemsetArena<P>> {
-    handles
-        .into_iter()
-        .filter_map(|handle| match handle.join() {
-            Ok(local) => Some(local),
-            Err(_) => {
-                shared.panicked.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        })
-        .collect()
+    let n_workers = n_threads.min(n_roots);
+    obs::counter("fpm.workers", n_workers as u64);
+    let (req_token, work) = (obs::request_token(), &work);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n_workers)
+            .map(|worker| {
+                scope.spawn(move || {
+                    let _req = req_token.adopt();
+                    work(worker, n_workers)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .filter_map(|handle| match handle.join() {
+                Ok(local) => Some(local),
+                Err(_) => {
+                    shared.panicked.fetch_add(1, Ordering::Relaxed);
+                    None
+                }
+            })
+            .collect()
+    })
 }
 
 /// Parallel mining under a [`Budget`] and optional [`CancelToken`],
@@ -328,10 +347,6 @@ pub fn mine_arena_bounded<P: Payload + Send + Sync>(
     }
 
     let mine_span = obs::span("fpm.parallel.mine");
-    obs::counter("fpm.workers", n_threads as u64);
-    // Request context is thread-local; hand the caller's to each worker
-    // so their telemetry stays attributable to the originating request.
-    let req_token = obs::request_token();
     let shared = SharedLimits::new(budget, cancel, start);
     let shared = &shared;
 
@@ -351,53 +366,46 @@ pub fn mine_arena_bounded<P: Payload + Send + Sync>(
         let roots = dense::build_roots(db, &ctx, &mut root_pool, &mut root_stats);
         root_stats.publish(&root_pool);
         let (roots, ctx) = (&roots, &ctx);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n_threads);
-            for worker in 0..n_threads {
-                handles.push(scope.spawn(move || {
-                    let _req = req_token.adopt();
-                    let mut pool = dense::Pool::new();
-                    let mut stats = dense::EngineStats::default();
-                    let mut prefix: Vec<ItemId> = Vec::new();
-                    let mut sink = DenseWorkerSink {
-                        shared,
-                        arena: ItemsetArena::new(),
-                        ticks: 0,
-                        depth_cap,
-                    };
-                    // Round-robin partition of the root items.
-                    let mut pos = worker;
-                    while pos < roots.len() {
-                        if shared.poll() {
-                            break;
-                        }
-                        // Contain a poisoned subtree: record the panic,
-                        // drop whatever state it left in `prefix`, keep
-                        // mining the worker's remaining roots.
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            dense::extend(
-                                ctx,
-                                roots,
-                                pos,
-                                &mut prefix,
-                                &mut pool,
-                                &mut stats,
-                                &mut sink,
-                            )
-                        }));
-                        if outcome.is_err() {
-                            shared.panicked.fetch_add(1, Ordering::Relaxed);
-                            prefix.clear();
-                        }
-                        pos += n_threads;
-                    }
-                    // One batched publish per worker, so a lock-holding
-                    // recorder never serializes the workers.
-                    stats.publish(&pool);
-                    sink.arena
+        run_workers(n_threads, roots.len(), shared, |worker, stride| {
+            let mut pool = dense::Pool::new();
+            let mut stats = dense::EngineStats::default();
+            let mut prefix: Vec<ItemId> = Vec::new();
+            let mut sink = DenseWorkerSink {
+                shared,
+                arena: ItemsetArena::new(),
+                ticks: 0,
+                depth_cap,
+            };
+            // Round-robin partition of the root items.
+            let mut pos = worker;
+            while pos < roots.len() {
+                if shared.poll() {
+                    break;
+                }
+                // Contain a poisoned subtree: record the panic,
+                // drop whatever state it left in `prefix`, keep
+                // mining the worker's remaining roots.
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    dense::extend(
+                        ctx,
+                        roots,
+                        pos,
+                        &mut prefix,
+                        &mut pool,
+                        &mut stats,
+                        &mut sink,
+                    )
                 }));
+                if outcome.is_err() {
+                    shared.panicked.fetch_add(1, Ordering::Relaxed);
+                    prefix.clear();
+                }
+                pos += stride;
             }
-            join_workers(handles, shared)
+            // One batched publish per worker, so a lock-holding
+            // recorder never serializes the workers.
+            stats.publish(&pool);
+            sink.arena
         })
     } else {
         // Merge path: shared vertical representation, per-tid payload
@@ -411,54 +419,47 @@ pub fn mine_arena_bounded<P: Payload + Send + Sync>(
             .collect();
         drop(tid_build);
         let roots = &roots;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n_threads);
-            for worker in 0..n_threads {
-                handles.push(scope.spawn(move || {
-                    let _req = req_token.adopt();
-                    let mut local = ItemsetArena::new();
-                    let mut prefix: Vec<ItemId> = Vec::new();
-                    let mut ticks = 0u32;
-                    // Intersections are tallied locally and published once
-                    // per worker: one facade call instead of one per node,
-                    // so a lock-holding recorder never serializes the
-                    // workers.
-                    let mut inters = 0u64;
-                    // Round-robin partition of the root items.
-                    let mut pos = worker;
-                    while pos < roots.len() {
-                        if shared.poll() {
-                            break;
-                        }
-                        // Contain a poisoned subtree: record the panic,
-                        // drop whatever state it left in `prefix`, keep
-                        // mining the worker's remaining roots.
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            subtree(
-                                roots,
-                                pos,
-                                payloads,
-                                threshold,
-                                max_len,
-                                depth_cap,
-                                shared,
-                                &mut ticks,
-                                &mut inters,
-                                &mut prefix,
-                                &mut local,
-                            )
-                        }));
-                        if outcome.is_err() {
-                            shared.panicked.fetch_add(1, Ordering::Relaxed);
-                            prefix.clear();
-                        }
-                        pos += n_threads;
-                    }
-                    obs::counter("fpm.tid_intersections", inters);
-                    local
+        run_workers(n_threads, roots.len(), shared, |worker, stride| {
+            let mut local = ItemsetArena::new();
+            let mut prefix: Vec<ItemId> = Vec::new();
+            let mut ticks = 0u32;
+            // Intersections are tallied locally and published once
+            // per worker: one facade call instead of one per node,
+            // so a lock-holding recorder never serializes the
+            // workers.
+            let mut inters = 0u64;
+            // Round-robin partition of the root items.
+            let mut pos = worker;
+            while pos < roots.len() {
+                if shared.poll() {
+                    break;
+                }
+                // Contain a poisoned subtree: record the panic,
+                // drop whatever state it left in `prefix`, keep
+                // mining the worker's remaining roots.
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    subtree(
+                        roots,
+                        pos,
+                        payloads,
+                        threshold,
+                        max_len,
+                        depth_cap,
+                        shared,
+                        &mut ticks,
+                        &mut inters,
+                        &mut prefix,
+                        &mut local,
+                    )
                 }));
+                if outcome.is_err() {
+                    shared.panicked.fetch_add(1, Ordering::Relaxed);
+                    prefix.clear();
+                }
+                pos += stride;
             }
-            join_workers(handles, shared)
+            obs::counter("fpm.tid_intersections", inters);
+            local
         })
     };
     drop(mine_span);
@@ -607,10 +608,18 @@ mod tests {
 
     #[test]
     fn more_threads_than_roots_is_fine() {
+        // At most one worker per root subtree: even 10^11 requested
+        // threads size nothing by the request, on the class-mask path and
+        // the merge path alike, and return the sequential result.
         let db = TransactionDb::from_rows(2, &[vec![0], vec![1], vec![0, 1]]);
         let params = MiningParams::with_min_support_count(1);
-        let found = mine(&db, &[(); 3], &params, 16);
-        assert_eq!(found.len(), 3);
+        let counted: Vec<CountPayload> = (0..3).map(CountPayload).collect();
+        for n_threads in [16, 100_000_000_000] {
+            let found = mine(&db, &[(); 3], &params, n_threads);
+            assert_eq!(found.len(), 3);
+            let sequential = mine(&db, &counted, &params, 1);
+            assert_eq!(mine(&db, &counted, &params, n_threads), sequential);
+        }
     }
 
     #[test]
