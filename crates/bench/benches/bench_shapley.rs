@@ -2,13 +2,17 @@
 //! local Shapley attribution as a function of itemset length, global item
 //! divergence, corrective-item scan, and redundancy pruning. The paper
 //! reports the post-mining analysis at <7% of total time; these benches
-//! make that decomposition measurable.
+//! make that decomposition measurable. The layers share the report's
+//! immediate-subset index, which the first iteration builds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datasets::DatasetId;
 use divexplorer::{
-    corrective::corrective_items, global_div::global_item_divergence, pruning::prune_redundant,
-    shapley::item_contributions, DivExplorer, Metric,
+    corrective::{corrective_items, top_corrective},
+    global_div::global_item_divergence,
+    pruning::prune_redundant,
+    shapley::item_contributions,
+    DivExplorer, Metric,
 };
 
 fn bench_analysis(c: &mut Criterion) {
@@ -38,6 +42,9 @@ fn bench_analysis(c: &mut Criterion) {
     });
     group.bench_function("corrective_items", |b| {
         b.iter(|| corrective_items(&report, 0))
+    });
+    group.bench_function("top_corrective_10", |b| {
+        b.iter(|| top_corrective(&report, 0, 10, None))
     });
     group.bench_function("redundancy_pruning", |b| {
         b.iter(|| prune_redundant(&report, 0, 0.05))

@@ -5,8 +5,12 @@
 //! would never see these; finding them requires the exhaustive exploration
 //! DivExplorer performs.
 
-use crate::item::{without, ItemId};
-use crate::report::DivergenceReport;
+use std::cmp::Ordering;
+
+use fpm::Subset;
+
+use crate::item::ItemId;
+use crate::report::{k_smallest_by, DivergenceReport};
 
 /// One corrective observation: adding `item` to `base` shrinks `|Δ|`.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,6 +30,89 @@ pub struct CorrectiveItem {
     pub t: f64,
 }
 
+/// A corrective pair found on a subset edge, before anything is copied
+/// out of the report: pattern `ext` is pattern `base` plus `item`.
+#[derive(Debug, Clone, Copy)]
+struct Pair {
+    base: usize,
+    ext: usize,
+    item: ItemId,
+    delta_base: f64,
+    delta_ext: f64,
+    factor: f64,
+}
+
+impl Pair {
+    /// Welch t-statistic between the base and extended posterior rates.
+    fn t(&self, report: &DivergenceReport, m: usize) -> f64 {
+        let p_base = report.counts(self.base).get(m).posterior();
+        let p_ext = report.counts(self.ext).get(m).posterior();
+        p_base.welch_t(&p_ext)
+    }
+
+    fn to_item(self, report: &DivergenceReport, m: usize) -> CorrectiveItem {
+        CorrectiveItem {
+            base: report.items(self.base).to_vec(),
+            item: self.item,
+            delta_base: self.delta_base,
+            delta_extended: self.delta_ext,
+            corrective_factor: self.factor,
+            t: self.t(report, m),
+        }
+    }
+}
+
+/// Every corrective pair of the report for metric `m`, by extended
+/// pattern, then by item: each extended pattern `K` is compared against
+/// its immediate sub-patterns along [`DivergenceReport::subsets`].
+fn corrective_pairs(report: &DivergenceReport, m: usize) -> impl Iterator<Item = Pair> + '_ {
+    (0..report.len()).flat_map(move |ext| {
+        let delta_ext = report.divergence(ext, m);
+        let edges = if delta_ext.is_nan() {
+            &[][..]
+        } else {
+            report.subsets(ext)
+        };
+        report
+            .items(ext)
+            .iter()
+            .zip(edges)
+            .filter_map(move |(&item, edge)| {
+                // Correcting the empty pattern (Δ=0) is impossible:
+                // |Δ({α})| ≥ 0 = |Δ(∅)|. An absent base is only possible
+                // under a max_len cap; skip it quietly.
+                let Subset::Stored(base) = edge.get() else {
+                    return None;
+                };
+                let delta_base = report.divergence(base, m);
+                let factor = delta_base.abs() - delta_ext.abs();
+                // An undefined base divergence gives a NaN factor.
+                (factor > 0.0).then_some(Pair {
+                    base,
+                    ext,
+                    item,
+                    delta_base,
+                    delta_ext,
+                    factor,
+                })
+            })
+    })
+}
+
+/// The order of [`corrective_items`]: corrective factor descending, then
+/// base items, then item. The extended pattern breaks the ties only
+/// duplicate patterns leave, so the order is total.
+fn rank(report: &DivergenceReport) -> impl Fn(&Pair, &Pair) -> Ordering + '_ {
+    move |a, b| {
+        b.factor
+            .partial_cmp(&a.factor)
+            .expect("corrective factors are positive")
+            .then_with(|| report.items(a.base).cmp(report.items(b.base)))
+            .then_with(|| a.item.cmp(&b.item))
+            .then_with(|| a.ext.cmp(&b.ext))
+    }
+}
+
 /// Finds every corrective `(base, item)` pair among the frequent patterns of
 /// the report, for metric `m`.
 ///
@@ -35,70 +122,29 @@ pub struct CorrectiveItem {
 /// undefined are skipped. Results are sorted by corrective factor, largest
 /// first.
 pub fn corrective_items(report: &DivergenceReport, m: usize) -> Vec<CorrectiveItem> {
-    let mut out = Vec::new();
-    for k_idx in 0..report.len() {
-        let extended = report.pattern(k_idx);
-        if extended.items.is_empty() {
-            continue;
-        }
-        let delta_ext = report.divergence(k_idx, m);
-        if delta_ext.is_nan() {
-            continue;
-        }
-        for &alpha in extended.items {
-            let base = without(extended.items, alpha);
-            if base.is_empty() {
-                // Correcting the empty pattern (Δ=0) is impossible:
-                // |Δ({α})| ≥ 0 = |Δ(∅)|.
-                continue;
-            }
-            let Some(base_idx) = report.find(&base) else {
-                // Only possible under a max_len cap; skip quietly.
-                continue;
-            };
-            let delta_base = report.divergence(base_idx, m);
-            if delta_base.is_nan() {
-                continue;
-            }
-            let factor = delta_base.abs() - delta_ext.abs();
-            if factor > 0.0 {
-                let p_base = report.counts(base_idx).get(m).posterior();
-                let p_ext = extended.counts.get(m).posterior();
-                out.push(CorrectiveItem {
-                    base,
-                    item: alpha,
-                    delta_base,
-                    delta_extended: delta_ext,
-                    corrective_factor: factor,
-                    t: p_base.welch_t(&p_ext),
-                });
-            }
-        }
-    }
-    out.sort_by(|a, b| {
-        b.corrective_factor
-            .partial_cmp(&a.corrective_factor)
-            .unwrap()
-            .then_with(|| a.base.cmp(&b.base))
-            .then_with(|| a.item.cmp(&b.item))
-    });
-    out
+    let mut pairs: Vec<Pair> = corrective_pairs(report, m).collect();
+    pairs.sort_unstable_by(rank(report));
+    pairs.iter().map(|pair| pair.to_item(report, m)).collect()
 }
 
 /// The `k` most corrective observations, optionally requiring a minimum
-/// significance `min_t` of the corrective effect.
+/// significance `min_t` of the corrective effect: the first `k` of
+/// [`corrective_items`] with `t ≥ min_t`.
+///
+/// Selects the winners in one pass with a `k`-sized heap under the same
+/// order and copies out only their base patterns.
 pub fn top_corrective(
     report: &DivergenceReport,
     m: usize,
     k: usize,
     min_t: Option<f64>,
 ) -> Vec<CorrectiveItem> {
-    let mut all = corrective_items(report, m);
-    if let Some(min_t) = min_t {
-        all.retain(|c| c.t >= min_t);
-    }
-    all.truncate(k);
-    all
+    let pairs = corrective_pairs(report, m)
+        .filter(|pair| min_t.is_none_or(|min_t| pair.t(report, m) >= min_t));
+    k_smallest_by(pairs, k, rank(report))
+        .iter()
+        .map(|pair| pair.to_item(report, m))
+        .collect()
 }
 
 #[cfg(test)]
@@ -173,6 +219,48 @@ mod tests {
         assert!(found
             .windows(2)
             .all(|w| w[0].corrective_factor >= w[1].corrective_factor));
+    }
+
+    /// The fixture plus `k`, an exact copy of `h`: every corrective pair
+    /// through `h` has a twin through `k` with the same factor.
+    fn tied_fixture() -> (crate::DiscreteDataset, Vec<bool>, Vec<bool>) {
+        let h = [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1u16];
+        let g = [0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1u16];
+        let mut b = DatasetBuilder::new();
+        b.categorical("g", &["a", "b"], &g);
+        b.categorical("h", &["x", "y"], &h);
+        b.categorical("k", &["x", "y"], &h);
+        let (_, v, u) = fixture();
+        (b.build().unwrap(), v, u)
+    }
+
+    #[test]
+    fn top_corrective_is_the_filtered_prefix_of_corrective_items() {
+        let (data, v, u) = tied_fixture();
+        let report = DivExplorer::new(0.1)
+            .explore(&data, &v, &u, &[Metric::FalsePositiveRate])
+            .unwrap();
+        let all = corrective_items(&report, 0);
+        assert!(
+            all.windows(2)
+                .any(|w| w[0].corrective_factor == w[1].corrective_factor),
+            "the fixture must have exact factor ties"
+        );
+        let n = all.len();
+        for min_t in [None, Some(0.5), Some(2.0), Some(f64::INFINITY)] {
+            for k in [0, 1, 10, n, n + 1] {
+                let mut expected = all.clone();
+                if let Some(min_t) = min_t {
+                    expected.retain(|c| c.t >= min_t);
+                }
+                expected.truncate(k);
+                assert_eq!(
+                    top_corrective(&report, 0, k, min_t),
+                    expected,
+                    "k={k} min_t={min_t:?}"
+                );
+            }
+        }
     }
 
     #[test]

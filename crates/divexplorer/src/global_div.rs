@@ -13,7 +13,7 @@
 //! which is exactly what a complete [`DivergenceReport`] contains. This
 //! module computes the Eq. 8 approximation `Δ̃ᵍ(I, s)`.
 
-use rustc_hash::FxHashMap;
+use fpm::Subset;
 
 use crate::item::{is_subset, ItemId};
 use crate::report::DivergenceReport;
@@ -64,69 +64,66 @@ pub fn global_itemset_divergence_checked(
 ///
 /// Returns `(item, Δ̃ᵍ)` pairs for every frequent item, sorted by item id.
 pub fn global_item_divergence(report: &DivergenceReport, m: usize) -> Vec<(ItemId, f64)> {
-    global_item_divergence_of(report, |report, items| {
-        if items.is_empty() {
-            Some(0.0)
-        } else {
-            report.divergence_of(items, m)
-        }
-    })
+    global_item_divergence_of(report, |report, idx| report.divergence(idx, m))
 }
 
 /// Generalized form of [`global_item_divergence`]: computes `Δ̃ᵍ` for an
-/// arbitrary divergence function over frequent itemsets (`None` = itemset
-/// unknown, `NaN` = undefined — both skip the term).
+/// arbitrary divergence function over the report's patterns, given by
+/// pattern index (`NaN` = undefined, which skips the term; `Δ(∅) = 0` by
+/// definition and is never asked for).
 ///
 /// This is the hook behind Theorem 4.1's *linearity* axiom: combining two
 /// divergence notions linearly combines their global divergences (see the
 /// axiom tests). It also admits custom statistics, e.g. loss-based
 /// divergences, without re-mining.
+///
+/// Each `J = K ∖ {α}` is read from [`DivergenceReport::subsets`]; a `J`
+/// absent from the report (only under a `max_len` cap or a filtered
+/// report) skips its term. Terms are summed per item in pattern order.
 pub fn global_item_divergence_of(
     report: &DivergenceReport,
-    delta_of: impl Fn(&DivergenceReport, &[ItemId]) -> Option<f64>,
+    delta_of: impl Fn(&DivergenceReport, usize) -> f64,
 ) -> Vec<(ItemId, f64)> {
     let _span = obs::span("global_div.item_divergence");
-    let n_attrs = report.schema().n_attributes();
-    let weights = positional_weights(n_attrs);
+    let schema = report.schema();
+    let weights = positional_weights(schema.n_attributes());
 
-    let mut acc: FxHashMap<ItemId, f64> = FxHashMap::default();
-    // Seed with all frequent single items so items with zero net effect
-    // still appear in the output.
-    for p in report.patterns() {
-        if p.items.len() == 1 {
-            acc.entry(p.items[0]).or_insert(0.0);
-        }
-    }
+    // Dense per-item accumulators; `present` marks the items reported.
+    let n_items = schema.n_items() as usize;
+    let mut acc = vec![0.0f64; n_items];
+    let mut present = vec![false; n_items];
 
     for k_idx in 0..report.len() {
         let k_items = report.items(k_idx);
-        let delta_k = delta_of(report, k_items).unwrap_or(f64::NAN);
+        // Every frequent single item is reported, even with zero net
+        // effect.
+        if let [item] = *k_items {
+            present[item as usize] = true;
+        }
+        let delta_k = delta_of(report, k_idx);
         if delta_k.is_nan() {
             continue;
         }
         // Π_{b ∈ attr(K)} m_b — shared by all items of K.
-        let domain_product = report.schema().domain_product(k_items);
-        let w = weights[k_items.len() - 1] / domain_product;
-        for &alpha in k_items {
-            let j: Vec<ItemId> = k_items.iter().copied().filter(|&i| i != alpha).collect();
-            let delta_j = if j.is_empty() {
-                delta_of(report, &j).unwrap_or(0.0)
-            } else {
-                match delta_of(report, &j) {
-                    Some(d) => d,
-                    None => continue, // only under a max_len cap
-                }
+        let w = weights[k_items.len() - 1] / schema.domain_product(k_items);
+        for (&alpha, edge) in k_items.iter().zip(report.subsets(k_idx)) {
+            let delta_j = match edge.get() {
+                Subset::Empty => 0.0,
+                Subset::Stored(j_idx) => delta_of(report, j_idx),
+                Subset::Absent => continue,
             };
             if delta_j.is_nan() {
                 continue;
             }
-            *acc.entry(alpha).or_insert(0.0) += w * (delta_k - delta_j);
+            acc[alpha as usize] += w * (delta_k - delta_j);
+            present[alpha as usize] = true;
         }
     }
 
-    let mut out: Vec<(ItemId, f64)> = acc.into_iter().collect();
-    out.sort_by_key(|&(item, _)| item);
-    out
+    (0..n_items)
+        .filter(|&item| present[item])
+        .map(|item| (item as ItemId, acc[item]))
+        .collect()
 }
 
 /// The approximate global divergence `Δ̃ᵍ(I, s)` of an arbitrary frequent
@@ -377,13 +374,8 @@ mod tests {
             )
             .unwrap();
         let (g1, g2) = (2.0, -0.5);
-        let combined = global_item_divergence_of(&report, |r, items| {
-            if items.is_empty() {
-                return Some(0.0);
-            }
-            let d0 = r.divergence_of(items, 0)?;
-            let d1 = r.divergence_of(items, 1)?;
-            Some(g1 * d0 + g2 * d1)
+        let combined = global_item_divergence_of(&report, |r, idx| {
+            g1 * r.divergence(idx, 0) + g2 * r.divergence(idx, 1)
         });
         let fpr = global_item_divergence(&report, 0);
         let er = global_item_divergence(&report, 1);

@@ -17,10 +17,10 @@
 //!   immediate sub-patterns, so it needs the whole lattice present
 //!   (a streaming form would have to buffer everything anyway).
 
-use fpm::ItemsetSink;
+use fpm::{ItemsetSink, Subset};
 
 use crate::counts::MultiCounts;
-use crate::item::{without, ItemId};
+use crate::item::ItemId;
 use crate::report::DivergenceReport;
 
 /// Indices of the patterns that survive ε-redundancy pruning for metric `m`.
@@ -32,20 +32,21 @@ use crate::report::DivergenceReport;
 /// contribution cannot be established.
 pub fn prune_redundant(report: &DivergenceReport, m: usize, epsilon: f64) -> Vec<usize> {
     assert!(epsilon >= 0.0, "epsilon must be non-negative");
+    let _span = obs::span("pruning.prune");
     let mut retained = Vec::new();
     'patterns: for idx in 0..report.len() {
-        let items = report.items(idx);
         let delta = report.divergence(idx, m);
         if delta.is_nan() {
             continue;
         }
-        for &alpha in items {
-            let base = without(items, alpha);
-            let Some(delta_base) = report.divergence_of(&base, m) else {
-                // Missing sub-pattern (max_len cap): treat conservatively as
-                // redundant, matching the paper's requirement of a complete
-                // exploration for this analysis.
-                continue 'patterns;
+        for edge in report.subsets(idx) {
+            let delta_base = match edge.get() {
+                Subset::Empty => 0.0,
+                Subset::Stored(base) => report.divergence(base, m),
+                // Missing sub-pattern (max_len cap): treat conservatively
+                // as redundant, matching the paper's requirement of a
+                // complete exploration for this analysis.
+                Subset::Absent => continue 'patterns,
             };
             if delta_base.is_nan() || (delta - delta_base).abs() <= epsilon {
                 continue 'patterns;
@@ -127,6 +128,7 @@ mod tests {
     use super::*;
     use crate::dataset::DatasetBuilder;
     use crate::explorer::DivExplorer;
+    use crate::item::without;
     use crate::report::SortBy;
     use crate::Metric;
 

@@ -9,7 +9,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use fpm::{Completeness, ItemsetArena};
+use fpm::{Completeness, ItemsetArena, SubsetEdge};
 
 use crate::counts::{MultiCounts, OutcomeCounts};
 use crate::item::ItemId;
@@ -219,6 +219,18 @@ impl DivergenceReport {
         self.store.find(items)
     }
 
+    /// The immediate sub-patterns of pattern `idx`: entry `j` says where
+    /// `items(idx)` without its item `j` is — a pattern index (the one
+    /// [`DivergenceReport::find`] returns), ∅, or absent from the report.
+    ///
+    /// Served by the arena's immediate-subset index, built for the whole
+    /// report on the first call (4 bytes per stored item) and shared by
+    /// the lattice-wide analyses (pruning, global divergence, corrective
+    /// items).
+    pub fn subsets(&self, idx: usize) -> &[SubsetEdge] {
+        self.store.subsets(idx)
+    }
+
     /// The dataset-level tallies of metric `m`.
     pub fn dataset_counts(&self, m: usize) -> OutcomeCounts {
         self.dataset_counts.get(m)
@@ -275,8 +287,8 @@ impl DivergenceReport {
     /// the multiple-comparisons-aware way to screen an exhaustive
     /// exploration. Sorted by ascending p-value.
     pub fn significant_at_fdr(&self, m: usize, q: f64) -> Vec<usize> {
-        let p_values: Vec<f64> = (0..self.len()).map(|idx| self.p_value(idx, m)).collect();
-        crate::stats::benjamini_hochberg(&p_values, q)
+        let _span = obs::span("stats.fdr");
+        crate::stats::benjamini_hochberg_by(self.len(), |idx| self.p_value(idx, m), q)
     }
 
     /// `(key, idx)` for every pattern whose ranking key under `order` is
@@ -553,6 +565,7 @@ mod tests {
     fn fdr_screen_returns_sorted_significant_subset() {
         let r = report();
         let flagged = r.significant_at_fdr(0, 0.5);
+        assert_eq!(flagged.capacity(), flagged.len());
         // Whatever is flagged must have small p-values, ascending.
         let ps: Vec<f64> = flagged.iter().map(|&i| r.p_value(i, 0)).collect();
         assert!(ps.windows(2).all(|w| w[0] <= w[1]));
@@ -618,6 +631,87 @@ mod tests {
         assert!(!p.is_empty());
         assert_eq!(p.len(), p.items.len());
         assert_eq!(r.patterns().count(), r.len());
+    }
+
+    /// A 4-attribute table whose errors depend on two attributes jointly.
+    fn audit_table() -> (crate::DiscreteDataset, Vec<bool>, Vec<bool>) {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n) as u16
+        };
+        let cols: Vec<Vec<u16>> = (0..4)
+            .map(|_| (0..240).map(|_| next(3)).collect())
+            .collect();
+        let mut b = DatasetBuilder::new();
+        for (a, col) in cols.iter().enumerate() {
+            b.categorical(format!("a{a}"), &["x", "y", "z"], col);
+        }
+        let v = vec![false; 240];
+        let u = (0..240)
+            .map(|r| (cols[0][r] == 0 && cols[1][r] != 2) || next(5) == 0)
+            .collect();
+        (b.build().unwrap(), v, u)
+    }
+
+    /// Asserts that every edge is what `find` says of the item-removed
+    /// set, or ∅; returns whether some edge is absent.
+    fn check_edges(r: &DivergenceReport) -> bool {
+        let mut absent = false;
+        for idx in 0..r.len() {
+            let items = r.items(idx);
+            assert_eq!(r.subsets(idx).len(), items.len());
+            for (j, edge) in r.subsets(idx).iter().enumerate() {
+                let mut removed = items.to_vec();
+                removed.remove(j);
+                let expected = match r.find(&removed) {
+                    _ if removed.is_empty() => fpm::Subset::Empty,
+                    Some(found) => fpm::Subset::Stored(found),
+                    None => fpm::Subset::Absent,
+                };
+                assert_eq!(edge.get(), expected, "edge {j} of {items:?}");
+                absent |= expected == fpm::Subset::Absent;
+            }
+        }
+        absent
+    }
+
+    #[test]
+    fn subsets_are_exact_on_complete_filtered_and_truncated_reports() {
+        let (data, v, u) = audit_table();
+        let metrics = [Metric::FalsePositiveRate];
+        let explorer = DivExplorer::new(0.02);
+        let full = explorer.explore(&data, &v, &u, &metrics).unwrap();
+        assert!(!check_edges(&full), "a complete lattice is closed");
+
+        let mut dataset_counts = MultiCounts::empty(1);
+        for (&vi, &ui) in v.iter().zip(&u) {
+            let mc = MultiCounts::from_outcomes(&[Metric::FalsePositiveRate.outcome(vi, ui)]);
+            fpm::Payload::merge(&mut dataset_counts, &mc);
+        }
+        let mut sink = crate::DivergenceFilterSink::new(ItemsetArena::new(), dataset_counts, 0.15);
+        let stats = explorer
+            .explore_into(&data, &v, &u, &metrics, &mut sink)
+            .unwrap();
+        let filtered = DivergenceReport::from_store(
+            data.schema().clone(),
+            metrics.to_vec(),
+            stats.n_rows,
+            stats.min_support_count,
+            stats.dataset_counts,
+            sink.into_inner(),
+        );
+        assert!(filtered.len() < full.len());
+        assert!(check_edges(&filtered), "filtering leaves gaps");
+
+        let truncated = DivExplorer::new(0.02)
+            .with_budget(fpm::Budget::unlimited().with_max_itemsets(full.len() as u64 / 2))
+            .explore(&data, &v, &u, &metrics)
+            .unwrap();
+        assert!(!truncated.is_exploration_complete());
+        check_edges(&truncated);
     }
 
     #[test]

@@ -156,12 +156,26 @@ impl Schema {
     }
 
     /// Product of domain cardinalities over the attributes of `items`
-    /// (`Π_{b ∈ attr(I)} m_b`), the normalizer of the paper's Eq. 6/8.
+    /// (`Π_{b ∈ attr(I)} m_b`), the normalizer of the paper's Eq. 6/8,
+    /// multiplied in attribute order. `items` may come in any order.
     pub fn domain_product(&self, items: &[ItemId]) -> f64 {
-        self.itemset_attributes(items)
-            .into_iter()
-            .map(|a| self.cardinality(a) as f64)
-            .product()
+        if !items.windows(2).all(|w| w[0] <= w[1]) {
+            let mut sorted = items.to_vec();
+            sorted.sort_unstable();
+            return self.domain_product(&sorted);
+        }
+        // Sorted items visit their attributes in ascending order, so
+        // skipping repeats dedups attr(I) without collecting it.
+        let mut product = 1.0;
+        let mut last = None;
+        for &id in items {
+            let a = self.decode(id).attribute;
+            if last != Some(a) {
+                product *= self.cardinality(a as usize) as f64;
+                last = Some(a);
+            }
+        }
+        product
     }
 }
 
@@ -225,5 +239,10 @@ mod tests {
         assert_eq!(s.itemset_attributes(&items), vec![0, 2]);
         assert_eq!(s.domain_product(&items), 4.0); // m_sex * m_race = 2*2
         assert_eq!(s.domain_product(&[]), 1.0);
+        // Two values of one attribute count its domain once, in any order.
+        let same_attribute = [s.item_id(1, 0), s.item_id(1, 2), s.item_id(2, 1)];
+        assert_eq!(s.domain_product(&same_attribute), 6.0);
+        let unsorted = [s.item_id(1, 2), s.item_id(2, 1), s.item_id(1, 0)];
+        assert_eq!(s.domain_product(&unsorted), 6.0);
     }
 }

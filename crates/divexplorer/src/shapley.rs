@@ -11,7 +11,7 @@
 //! looked up in a complete [`DivergenceReport`] — the payoff of the paper's
 //! exhaustive exploration.
 
-use crate::item::{with, without, ItemId};
+use crate::item::ItemId;
 use crate::report::DivergenceReport;
 
 /// Errors from Shapley attribution.
@@ -88,39 +88,43 @@ pub fn item_contributions(
     if k == 0 {
         return Ok(Vec::new());
     }
+    assert!(k <= 64, "itemset too long for bitmask enumeration");
     let _span = obs::span("shapley.contributions");
     obs::counter("shapley.subset_evals", 1u64 << k);
     // Precompute the permutation weights w(|J|) = |J|!(k−|J|−1)!/k!.
     let weights = subset_weights(k);
 
-    // Cache Δ of every subset, failing fast on gaps.
-    let delta = |subset: &[ItemId]| -> Result<f64, ShapleyError> {
-        match report.divergence_of(subset, m) {
-            None => Err(ShapleyError::MissingSubset(subset.to_vec())),
-            Some(d) if d.is_nan() => Err(ShapleyError::UndefinedDivergence(subset.to_vec())),
+    // Δ of the subset of `items` at the positions set in `mask`, failing
+    // fast on gaps.
+    let mut subset = Vec::with_capacity(k);
+    let mut delta = |mask: u64| -> Result<f64, ShapleyError> {
+        subset.clear();
+        subset.extend(
+            items
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| (mask >> i) & 1 != 0)
+                .map(|(_, &item)| item),
+        );
+        match report.divergence_of(&subset, m) {
+            None => Err(ShapleyError::MissingSubset(subset.clone())),
+            Some(d) if d.is_nan() => Err(ShapleyError::UndefinedDivergence(subset.clone())),
             Some(d) => Ok(d),
         }
     };
 
     let mut out = Vec::with_capacity(k);
-    for &alpha in items {
-        let rest = without(items, alpha);
+    for (a, &alpha) in items.iter().enumerate() {
+        let bit = 1u64 << a;
         let mut contribution = 0.0;
-        let mut err: Option<ShapleyError> = None;
-        crate::item::for_each_subset(&rest, |j_subset| {
-            if err.is_some() {
-                return;
-            }
-            let with_alpha = with(j_subset, alpha);
-            match (delta(&with_alpha), delta(j_subset)) {
-                (Ok(d1), Ok(d0)) => {
-                    contribution += weights[j_subset.len()] * (d1 - d0);
-                }
-                (Err(e), _) | (_, Err(e)) => err = Some(e),
-            }
-        });
-        if let Some(e) = err {
-            return Err(e);
+        // J runs over the subsets of I ∖ {α} in binary counting order of
+        // the remaining positions: `rest`'s bits from position a on move
+        // up one place, past α's.
+        for rest in 0..(1u64 << (k - 1)) {
+            let j = (rest & (bit - 1)) | ((rest & !(bit - 1)) << 1);
+            let d1 = delta(j | bit)?;
+            let d0 = delta(j)?;
+            contribution += weights[rest.count_ones() as usize] * (d1 - d0);
         }
         out.push((alpha, contribution));
     }
@@ -312,6 +316,45 @@ mod tests {
         let hx = report.schema().item_by_name("h", "x").unwrap();
         let err = item_contributions(&report, &[ga, hx], 0).unwrap_err();
         assert!(matches!(err, ShapleyError::MissingSubset(_)));
+    }
+
+    #[test]
+    fn a_long_absent_itemset_fails_on_its_first_missing_subset() {
+        // Every combination of g (2 values), h (2) and k (24) on one row,
+        // so every itemset with one item per attribute is frequent.
+        let combos: Vec<[u16; 3]> = (0..2)
+            .flat_map(|g| (0..2).flat_map(move |h| (0..24).map(move |k| [g, h, k])))
+            .collect();
+        let column = |a: usize| combos.iter().map(|c| c[a]).collect::<Vec<u16>>();
+        let k_values: Vec<String> = (0..24).map(|k| k.to_string()).collect();
+        let k_labels: Vec<&str> = k_values.iter().map(String::as_str).collect();
+        let mut b = DatasetBuilder::new();
+        b.categorical("g", &["a", "b"], &column(0));
+        b.categorical("h", &["x", "y"], &column(1));
+        b.categorical("k", &k_labels, &column(2));
+        let data = b.build().unwrap();
+        let v = vec![false; combos.len()];
+        let u: Vec<bool> = (0..combos.len()).map(|r| r % 3 == 0).collect();
+        let report = DivExplorer::new(0.01)
+            .explore(&data, &v, &u, &[Metric::FalsePositiveRate])
+            .unwrap();
+        let schema = report.schema();
+        let ga = schema.item_by_name("g", "a").unwrap();
+        let hx = schema.item_by_name("h", "x").unwrap();
+        let ks: Vec<ItemId> = k_labels
+            .iter()
+            .map(|k| schema.item_by_name("k", k).unwrap())
+            .collect();
+        // 26 items, so 2^26 subsets, of which only those before the first
+        // gap are looked up. In the reference order (α in item order, J
+        // over the rest in binary counting order, J ∪ {α} before J) the
+        // first absent subset is g=a ∧ k=0 ∧ k=1.
+        let mut items = vec![ga, hx];
+        items.extend(&ks);
+        assert_eq!(
+            item_contributions(&report, &items, 0),
+            Err(ShapleyError::MissingSubset(vec![ga, ks[0], ks[1]]))
+        );
     }
 
     #[test]

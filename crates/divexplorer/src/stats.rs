@@ -117,24 +117,40 @@ pub fn p_value_two_sided(t: f64) -> f64 {
 /// comparisons setting; BH keeps the expected fraction of false discoveries
 /// among the flagged patterns below `q`. `NaN` p-values are skipped.
 pub fn benjamini_hochberg(p_values: &[f64], q: f64) -> Vec<usize> {
+    benjamini_hochberg_by(p_values.len(), |i| p_values[i], q)
+}
+
+/// [`benjamini_hochberg`] over the p-values `p(0..n)`, computed twice
+/// rather than stored: once to find the cutoff p-value `p*` from the
+/// sorted values, once to collect `{i : p(i) ≤ p*}`. The BH thresholds
+/// `k/m·q` never decrease with the rank `k`, so the cutoff never splits
+/// a tie and that set is exactly the first `k` hypotheses in
+/// (p-value, index) order. Only the flagged indices are ever paired
+/// with their p-values, and the result owns a buffer of its own length.
+pub(crate) fn benjamini_hochberg_by(n: usize, p: impl Fn(usize) -> f64, q: f64) -> Vec<usize> {
     assert!((0.0..=1.0).contains(&q), "FDR level must be in [0, 1]");
-    let mut ranked: Vec<(usize, f64)> = p_values
-        .iter()
-        .copied()
-        .enumerate()
-        .filter(|(_, p)| !p.is_nan())
-        .collect();
-    ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-    let m = ranked.len() as f64;
+    let mut sorted: Vec<f64> = (0..n).map(&p).filter(|p| !p.is_nan()).collect();
+    sorted.sort_unstable_by(f64::total_cmp);
+    let m = sorted.len() as f64;
     // Largest k with p_(k) <= k/m * q; everything up to it is significant.
-    let mut cutoff = 0usize;
-    for (rank, &(_, p)) in ranked.iter().enumerate() {
-        if p <= (rank + 1) as f64 / m * q {
-            cutoff = rank + 1;
-        }
-    }
-    ranked.truncate(cutoff);
-    ranked.into_iter().map(|(i, _)| i).collect()
+    let Some(cutoff) = sorted
+        .iter()
+        .enumerate()
+        .rev()
+        .find(|&(rank, &p)| p <= (rank + 1) as f64 / m * q)
+        .map(|(_, &p)| p)
+    else {
+        return Vec::new();
+    };
+    drop(sorted);
+    let mut flagged: Vec<(f64, usize)> = (0..n)
+        .filter_map(|i| {
+            let p = p(i);
+            (p <= cutoff).then_some((p, i))
+        })
+        .collect();
+    flagged.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+    flagged.iter().map(|&(_, i)| i).collect()
 }
 
 /// A streaming sink keeping only patterns whose Welch t-statistic against
@@ -286,6 +302,77 @@ mod tests {
         assert_eq!(benjamini_hochberg(&p, 0.05), vec![1]);
         assert!(benjamini_hochberg(&[0.9, 0.95], 0.05).is_empty());
         assert!(benjamini_hochberg(&[], 0.05).is_empty());
+    }
+
+    /// The Benjamini–Hochberg screen as it was first written: sort every
+    /// (index, p-value) pair, find the cutoff rank, truncate.
+    fn reference_benjamini_hochberg(p_values: &[f64], q: f64) -> Vec<usize> {
+        let mut ranked: Vec<(usize, f64)> = p_values
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|(_, p)| !p.is_nan())
+            .collect();
+        ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+        let m = ranked.len() as f64;
+        let mut cutoff = 0usize;
+        for (rank, &(_, p)) in ranked.iter().enumerate() {
+            if p <= (rank + 1) as f64 / m * q {
+                cutoff = rank + 1;
+            }
+        }
+        ranked.truncate(cutoff);
+        ranked.into_iter().map(|(i, _)| i).collect()
+    }
+
+    #[test]
+    fn benjamini_hochberg_matches_the_reference_on_ties_and_nans() {
+        let fixtures: [&[f64]; 5] = [
+            &[0.01, 0.04, 0.03, 0.5, 0.20],
+            &[0.02, f64::NAN, 0.02, 0.001, 0.02, 0.9, f64::NAN, 0.02, 0.0],
+            &[0.05, 0.05, 0.05, 0.05, 0.05],
+            &[f64::NAN, f64::NAN],
+            &[0.3, 0.0, 0.3, 0.0, 1.0, 0.04, 0.3, 0.04],
+        ];
+        for p in fixtures {
+            for q in [0.0, 0.05, 0.25, 0.5, 1.0] {
+                assert_eq!(
+                    benjamini_hochberg(p, q),
+                    reference_benjamini_hochberg(p, q),
+                    "{p:?} at q={q}"
+                );
+            }
+        }
+        // Seeded random p-values drawn from a few levels, so ties abound.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let p: Vec<f64> = (0..2_000)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                match state % 50 {
+                    0 => f64::NAN,
+                    r => (r % 25) as f64 / 400.0,
+                }
+            })
+            .collect();
+        for q in [0.0, 0.05, 0.5, 1.0] {
+            assert_eq!(
+                benjamini_hochberg(&p, q),
+                reference_benjamini_hochberg(&p, q)
+            );
+        }
+    }
+
+    #[test]
+    fn benjamini_hochberg_owns_no_more_than_it_returns() {
+        let p: Vec<f64> = (0..10_000).map(|i| (i % 100) as f64 / 100.0).collect();
+        for q in [0.0, 0.05, 1.0] {
+            let flagged = benjamini_hochberg(&p, q);
+            assert_eq!(flagged.capacity(), flagged.len(), "q={q}");
+        }
+        assert_eq!(benjamini_hochberg(&p, 0.0).len(), 100);
+        assert_eq!(benjamini_hochberg(&p, 1.0).len(), 10_000);
     }
 
     #[test]

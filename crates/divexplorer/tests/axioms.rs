@@ -72,9 +72,8 @@ proptest! {
         let report = DivExplorer::new(0.0)
             .explore(&data, &v, &u, &[Metric::ErrorRate, Metric::PositiveRate])
             .unwrap();
-        let combined = global_div::global_item_divergence_of(&report, |r, items| {
-            if items.is_empty() { return Some(0.0); }
-            Some(g1 * r.divergence_of(items, 0)? + g2 * r.divergence_of(items, 1)?)
+        let combined = global_div::global_item_divergence_of(&report, |r, idx| {
+            g1 * r.divergence(idx, 0) + g2 * r.divergence(idx, 1)
         });
         let d0 = global_div::global_item_divergence(&report, 0);
         let d1 = global_div::global_item_divergence(&report, 1);

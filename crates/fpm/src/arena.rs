@@ -7,7 +7,10 @@
 //! path), keeps items contiguous for cache-friendly iteration, and
 //! supports `O(1)` id-based access plus an itemset → id hash index that
 //! is built once and shared by every lookup (closed/maximal extraction,
-//! subset queries in the explorer).
+//! subset queries in the explorer). On top of that index sits a lazily
+//! built immediate-subset index ([`ItemsetArena::subsets`]): for every
+//! stored itemset `K` and item `α ∈ K`, where `K ∖ {α}` is stored — the
+//! one question every lattice-wide analysis asks per edge.
 
 use std::sync::OnceLock;
 
@@ -23,6 +26,43 @@ struct Record<P> {
     len: u32,
     support: u64,
     payload: P,
+}
+
+/// Where the immediate subset `items(id) ∖ {items(id)[j]}` of a stored
+/// itemset lives: the decoded entry `j` of [`ItemsetArena::subsets`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Subset {
+    /// The empty itemset: the itemset has one item.
+    Empty,
+    /// Stored under this id — the id [`ItemsetArena::find`] returns.
+    Stored(usize),
+    /// Not stored in the arena (a truncated or filtered result).
+    Absent,
+}
+
+/// One immediate-subset edge `(K, K ∖ {α})` packed into 4 bytes:
+/// a stored id, or one of two reserved markers. [`SubsetEdge::get`]
+/// decodes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(transparent)]
+pub struct SubsetEdge(u32);
+
+impl SubsetEdge {
+    const EMPTY: SubsetEdge = SubsetEdge(u32::MAX);
+    const ABSENT: SubsetEdge = SubsetEdge(u32::MAX - 1);
+
+    fn stored(found: Option<usize>) -> Self {
+        found.map_or(SubsetEdge::ABSENT, |id| SubsetEdge(id as u32))
+    }
+
+    /// Where the subset this edge points to lives.
+    pub fn get(self) -> Subset {
+        match self {
+            SubsetEdge::EMPTY => Subset::Empty,
+            SubsetEdge::ABSENT => Subset::Absent,
+            SubsetEdge(id) => Subset::Stored(id as usize),
+        }
+    }
 }
 
 /// A borrowed view of one stored itemset.
@@ -43,7 +83,8 @@ pub struct ArenaEntry<'a, P> {
 pub struct ItemsetArena<P> {
     items: Vec<ItemId>,
     recs: Vec<Record<P>>,
-    /// Lazily built itemset → id index; invalidated by any mutation.
+    /// Lazily built itemset → id index, carrying the lazily built
+    /// immediate-subset index; any mutation drops both.
     index: OnceLock<SliceIndex>,
 }
 
@@ -169,8 +210,28 @@ impl<P> ItemsetArena<P> {
     /// subsequent lookups are `O(1)`. Any mutation invalidates the
     /// index, and the next `find` rebuilds it.
     pub fn find(&self, items: &[ItemId]) -> Option<usize> {
-        let index = self.index.get_or_init(|| SliceIndex::build(self));
-        index.find(self, items)
+        self.slice_index().find(self, items)
+    }
+
+    fn slice_index(&self) -> &SliceIndex {
+        self.index.get_or_init(|| SliceIndex::build(self))
+    }
+
+    /// The immediate subsets of itemset `id`: entry `j` says where
+    /// `items(id) ∖ {items(id)[j]}` is stored ([`Subset::Stored`], the id
+    /// [`Self::find`] returns for it), that it is empty (a one-item
+    /// itemset), or that it is absent.
+    ///
+    /// The first call builds the index for every stored itemset, with
+    /// one [`Self::find`] per edge; it costs 4 bytes per stored item, is
+    /// dropped by any mutation like the hash index, and is exact on any
+    /// arena — truncated, filtered (not downward-closed) or holding
+    /// duplicate itemsets.
+    pub fn subsets(&self, id: usize) -> &[SubsetEdge] {
+        let index = self.slice_index();
+        let edges = index.subsets.get_or_init(|| index.build_subsets(self));
+        let rec = &self.recs[id];
+        &edges[rec.offset..rec.offset + rec.len as usize]
     }
 
     /// Materializes the arena into the seed representation (one `Vec`
@@ -242,6 +303,11 @@ impl<P: Payload> ItemsetSink<P> for ItemsetArena<P> {
 struct SliceIndex {
     slots: Vec<u32>,
     mask: usize,
+    /// The immediate-subset index, parallel to the arena's flat item
+    /// buffer: entry `offset + j` of itemset `(offset, len)` is the edge
+    /// that removes its item `j`. Living inside the hash index, it is
+    /// dropped wherever that index is.
+    subsets: OnceLock<Vec<SubsetEdge>>,
 }
 
 fn hash_items(items: &[ItemId]) -> u64 {
@@ -259,6 +325,7 @@ impl SliceIndex {
         let mut index = SliceIndex {
             slots: vec![0; capacity],
             mask: capacity - 1,
+            subsets: OnceLock::new(),
         };
         for id in 0..arena.len() {
             index.insert(arena, id);
@@ -287,6 +354,36 @@ impl SliceIndex {
             }
             slot = (slot + 1) & self.mask;
         }
+    }
+
+    /// One lookup per edge: the last item's subset is the itemset's own
+    /// prefix, every other one is copied into a reused buffer.
+    fn build_subsets<P>(&self, arena: &ItemsetArena<P>) -> Vec<SubsetEdge> {
+        let _span = obs::span("arena.subsets");
+        assert!(
+            arena.len() < SubsetEdge::ABSENT.0 as usize,
+            "too many itemsets for 32-bit subset edges"
+        );
+        let mut edges = vec![SubsetEdge::ABSENT; arena.items.len()];
+        let mut buf: Vec<ItemId> = Vec::new();
+        for rec in &arena.recs {
+            let items = &arena.items[rec.offset..rec.offset + rec.len as usize];
+            let out = &mut edges[rec.offset..rec.offset + items.len()];
+            match items.len() {
+                0 => {}
+                1 => out[0] = SubsetEdge::EMPTY,
+                len => {
+                    for j in 0..len - 1 {
+                        buf.clear();
+                        buf.extend_from_slice(&items[..j]);
+                        buf.extend_from_slice(&items[j + 1..]);
+                        out[j] = SubsetEdge::stored(self.find(arena, &buf));
+                    }
+                    out[len - 1] = SubsetEdge::stored(self.find(arena, &items[..len - 1]));
+                }
+            }
+        }
+        edges
     }
 
     fn find<P>(&self, arena: &ItemsetArena<P>, items: &[ItemId]) -> Option<usize> {
@@ -350,6 +447,98 @@ mod tests {
         arena.push(&[1, 2], 1, CountPayload(9));
         assert_eq!(arena.find(&[1, 2]), Some(4));
         assert_eq!(arena.find(&[0, 1]), Some(2));
+    }
+
+    /// What [`ItemsetArena::subsets`] must say, by definition: one `find`
+    /// of the item-removed set, or ∅ for a one-item itemset.
+    fn expected_edges<P>(arena: &ItemsetArena<P>, id: usize) -> Vec<Subset> {
+        let items = arena.items(id);
+        (0..items.len())
+            .map(|j| {
+                if items.len() == 1 {
+                    return Subset::Empty;
+                }
+                let mut removed = items.to_vec();
+                removed.remove(j);
+                arena.find(&removed).map_or(Subset::Absent, Subset::Stored)
+            })
+            .collect()
+    }
+
+    fn edges<P>(arena: &ItemsetArena<P>, id: usize) -> Vec<Subset> {
+        arena.subsets(id).iter().map(|e| e.get()).collect()
+    }
+
+    #[test]
+    fn subsets_name_each_immediate_subset() {
+        let arena = sample_arena();
+        // {0, 1}: removing 0 leaves {1} (id 1), removing 1 leaves {0} (id 0).
+        assert_eq!(edges(&arena, 2), vec![Subset::Stored(1), Subset::Stored(0)]);
+        // {0, 2}: {2} is not stored.
+        assert_eq!(edges(&arena, 3), vec![Subset::Absent, Subset::Stored(0)]);
+        assert_eq!(edges(&arena, 0), vec![Subset::Empty]);
+        assert_eq!(arena.subsets(2).len(), arena.items(2).len());
+    }
+
+    #[test]
+    fn mutation_invalidates_the_subset_index() {
+        let mut arena = sample_arena();
+        assert_eq!(edges(&arena, 3), vec![Subset::Absent, Subset::Stored(0)]);
+        arena.push(&[2], 1, CountPayload(9));
+        assert_eq!(edges(&arena, 3), vec![Subset::Stored(4), Subset::Stored(0)]);
+        arena.sort_canonical();
+        // Canonical order: {0} {1} {2} {0,1} {0,2}.
+        assert_eq!(edges(&arena, 4), vec![Subset::Stored(2), Subset::Stored(0)]);
+        let mut other = ItemsetArena::new();
+        other.push(&[1, 2], 1, CountPayload(0));
+        arena.absorb(other);
+        assert_eq!(edges(&arena, 5), vec![Subset::Stored(2), Subset::Stored(1)]);
+        assert_eq!(edges(&arena.clone(), 5), edges(&arena, 5));
+    }
+
+    #[test]
+    fn empty_itemsets_have_no_edges_and_duplicates_point_where_find_does() {
+        let mut arena = ItemsetArena::new();
+        arena.push(&[], 9, ());
+        arena.push(&[3], 4, ());
+        arena.push(&[3], 4, ());
+        arena.push(&[3, 5], 2, ());
+        assert!(arena.subsets(0).is_empty());
+        assert_eq!(arena.find(&[3]), Some(2));
+        assert_eq!(edges(&arena, 3), vec![Subset::Absent, Subset::Stored(2)]);
+        assert_eq!(edges(&arena, 1), vec![Subset::Empty]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random arenas — not downward-closed, with duplicate and empty
+        /// itemsets, canonical order or not — resolve every edge exactly
+        /// as one `find` of the item-removed set does.
+        #[test]
+        fn every_edge_is_the_find_of_its_item_removed_set(
+            masks in proptest::collection::vec(0u8..128, 0..40),
+            canonical in proptest::prelude::any::<bool>(),
+            extra in 0u8..128,
+        ) {
+            let itemset = |mask: u8| -> Vec<ItemId> {
+                (0..7).filter(|i| mask & (1 << i) != 0).collect()
+            };
+            let mut arena = ItemsetArena::new();
+            for &mask in &masks {
+                arena.push(&itemset(mask), u64::from(mask), ());
+            }
+            if canonical {
+                arena.sort_canonical();
+            }
+            for id in 0..arena.len() {
+                proptest::prop_assert_eq!(edges(&arena, id), expected_edges(&arena, id));
+            }
+            arena.push(&itemset(extra), 0, ());
+            for id in 0..arena.len() {
+                proptest::prop_assert_eq!(edges(&arena, id), expected_edges(&arena, id));
+            }
+        }
     }
 
     #[test]

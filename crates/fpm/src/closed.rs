@@ -9,14 +9,12 @@
 //! DivExplorer's redundancy pruning: an itemset that is not closed has a
 //! superset over the *same* support set and hence the same divergence.
 //!
-//! Lookups go through [`ItemsetArena::find`], so the itemset → id index is
-//! built once per arena and shared across [`condensation_flags_arena`],
-//! [`closed_itemsets`], and [`maximal_itemsets`] — the seed rebuilt a
-//! `FxHashMap<&[ItemId], usize>` on every call.
+//! Subset lookups go through [`ItemsetArena::subsets`], the arena's
+//! immediate-subset index, built once per arena and shared with every
+//! other lattice analysis over it.
 
-use crate::arena::ItemsetArena;
+use crate::arena::{ItemsetArena, Subset};
 use crate::itemset::FrequentItemset;
-use crate::transaction::ItemId;
 
 /// Flags per input itemset: whether it is closed / maximal within the given
 /// (complete) mining result.
@@ -29,7 +27,7 @@ pub struct CondensationFlags {
 }
 
 /// Computes closed/maximal flags in one pass over an arena-stored result,
-/// using the arena's cached itemset index for subset lookups.
+/// walking the arena's immediate-subset index ([`ItemsetArena::subsets`]).
 ///
 /// Requires the arena to hold the *complete* set of frequent itemsets (as
 /// produced by any miner in this crate without a `max_len` cap): the
@@ -39,27 +37,11 @@ pub fn condensation_flags_arena<P>(arena: &ItemsetArena<P>) -> CondensationFlags
     let n = arena.len();
     let mut closed = vec![true; n];
     let mut maximal = vec![true; n];
-    let mut buf: Vec<ItemId> = Vec::new();
     for id in 0..n {
-        let items = arena.items(id);
-        if items.len() < 2 && items.is_empty() {
-            continue;
-        }
         // Every immediate subset of a frequent itemset has a frequent
-        // proper superset (this one).
-        for skip in 0..items.len() {
-            buf.clear();
-            buf.extend(
-                items
-                    .iter()
-                    .enumerate()
-                    .filter(|&(k, _)| k != skip)
-                    .map(|(_, &x)| x),
-            );
-            if buf.is_empty() {
-                continue;
-            }
-            if let Some(sub) = arena.find(&buf) {
+        // proper superset (this one); ∅ is never flagged.
+        for edge in arena.subsets(id) {
+            if let Subset::Stored(sub) = edge.get() {
                 maximal[sub] = false;
                 if arena.support(sub) == arena.support(id) {
                     closed[sub] = false;

@@ -107,7 +107,7 @@ pub mod trace;
 pub mod transaction;
 pub mod vertical;
 
-pub use arena::{ArenaEntry, ItemsetArena};
+pub use arena::{ArenaEntry, ItemsetArena, Subset, SubsetEdge};
 pub use budget::{Budget, BudgetSink, CancelToken, Completeness, TruncationReason};
 pub use itemset::FrequentItemset;
 pub use kernels::{AlignedWords, Kernel};

@@ -227,3 +227,31 @@ fn truncated_verdict_agrees_with_report_and_counters() {
         }
     }
 }
+
+/// The lattice analyses emit their own spans: the FDR screen, pruning,
+/// and — nested in whichever analysis first needs it — the one build of
+/// the report's immediate-subset index.
+#[test]
+fn fdr_pruning_and_the_subset_index_build_record_their_spans() {
+    let _guard = obs_lock().lock().unwrap();
+    let d = compas();
+    let report = DivExplorer::new(0.05)
+        .explore(&d.data, &d.v, &d.u, &[Metric::FalsePositiveRate])
+        .expect("explore");
+    let recorder = std::sync::Arc::new(obs::StatsRecorder::new());
+    obs::install(recorder.clone());
+    let retained = divexplorer::pruning::prune_redundant(&report, 0, 0.05);
+    let flagged = report.significant_at_fdr(0, 0.05);
+    let again = divexplorer::pruning::prune_redundant(&report, 0, 0.05);
+    obs::uninstall();
+
+    assert_eq!(retained, again);
+    assert!(flagged.len() <= report.len());
+    let snap = recorder.snapshot();
+    assert_eq!(snap.span("pruning.prune").map(|s| s.count), Some(2));
+    assert_eq!(snap.span("stats.fdr").map(|s| s.count), Some(1));
+    // Built once, inside the first pruning pass.
+    let build = snap.span("arena.subsets").expect("index build span");
+    assert_eq!(build.count, 1);
+    assert!(build.total_us <= snap.span("pruning.prune").unwrap().total_us);
+}
