@@ -4,10 +4,12 @@
 //! The service keeps registered datasets in memory and mined lattices in
 //! a byte-bounded LRU [`ArenaCache`]; with `--artifact DIR` it also
 //! reads and writes the on-disk artifact registry, so a lattice is
-//! mined at most once across restarts. Queries recount against the
-//! cached lattice — optionally under a *new* prediction vector supplied
-//! inline — so serving a fresh model's analysis costs one streaming
-//! recount, never a re-mine.
+//! mined at most once across restarts. The first query of a lattice
+//! tallies its confusion cells under the registered predictions once
+//! (the *base*); every later query derives its metric from the base
+//! without reading a row, and a query with a *new* prediction vector
+//! supplied inline recounts only the rows where it differs from the
+//! registered one. Serving a fresh model's analysis never re-mines.
 //!
 //! # Protocol
 //!
@@ -81,12 +83,12 @@
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
 use datasets::artifact::{self, ArenaKey, DatasetArtifact};
 use datasets::artifact_io::{self, DiskIo};
-use divexplorer::{ArenaCache, DivExplorer, SortBy};
+use divexplorer::{ArenaCache, DivExplorer, LatticeTallies, SortBy};
 use fpm::{ItemsetArena, TruncationReason};
 use obs::LiveRecorder;
 use serde_json::Value;
@@ -102,11 +104,24 @@ struct ServeState {
     dir: Option<PathBuf>,
     datasets: HashMap<String, DatasetArtifact>,
     cache: ArenaCache,
+    /// Each registration's base tallies, by registered name: one per
+    /// lattice it was queried on (see [`base_tallies`]).
+    bases: HashMap<String, Vec<Base>>,
     /// The session's live telemetry plane: metrics registry and flight
     /// ring fused behind one lock — the single source of truth every
     /// counter in `stats`, `metrics`, `trace` and `--metrics-file`
     /// derives from.
     plane: Arc<LiveRecorder>,
+}
+
+/// The confusion tallies of one registration's `(v, u)` over one cached
+/// lattice. A base is used only with the lattice it was tallied over
+/// (the `Weak` identifies it and dies with its [`ArenaCache`] slot) and
+/// the registration it was tallied from (re-registering a name drops
+/// its bases). 16 bytes per candidate.
+struct Base {
+    lattice: Weak<ItemsetArena<()>>,
+    tallies: LatticeTallies,
 }
 
 /// Serializes serve sessions' use of the process-global obs facade
@@ -259,6 +274,7 @@ pub fn serve_loop_with_diag<R: BufRead, W: Write>(
         dir: (!args.artifact.is_empty()).then(|| PathBuf::from(&args.artifact)),
         datasets: HashMap::new(),
         cache: ArenaCache::new(DEFAULT_CACHE_BYTES),
+        bases: HashMap::new(),
         plane: Arc::clone(&plane),
     };
     let mut metrics_sink = MetricsSink::new(args);
@@ -655,6 +671,9 @@ fn handle_register(state: &mut ServeState, args: &Args, request: &Value) -> Resu
     let rows = registered.data.n_rows();
     let hash = registered.hash;
     state.datasets.insert(name.clone(), registered);
+    // The old registration's predictions may differ even where its rows,
+    // and so its lattices, do not.
+    state.bases.remove(&name);
     Ok(ok(
         "register",
         vec![
@@ -762,6 +781,39 @@ fn handle_mine(state: &mut ServeState, args: &Args, request: &Value) -> Result<V
     ))
 }
 
+/// The base tallies of registration `name` over `lattice`, tallied by
+/// `tally` on the first query that needs them. Bases whose lattice left
+/// the cache are swept first. A tally cut by the deadline or the cancel
+/// token fails soft and is never cached, so the next query tallies anew.
+fn base_tallies<'b>(
+    bases: &'b mut HashMap<String, Vec<Base>>,
+    name: &str,
+    lattice: &Arc<ItemsetArena<()>>,
+    tally: impl FnOnce() -> Result<LatticeTallies, Value>,
+) -> Result<&'b LatticeTallies, Value> {
+    bases.retain(|_, held| {
+        held.retain(|base| base.lattice.strong_count() > 0);
+        !held.is_empty()
+    });
+    let held = bases.entry(name.to_string()).or_default();
+    let target = Arc::downgrade(lattice);
+    let at = match held.iter().position(|base| base.lattice.ptr_eq(&target)) {
+        Some(at) => at,
+        None => {
+            let tallies = tally()?;
+            if let Some(reason) = tallies.completeness().truncation_reason() {
+                return Err(truncation_failure(reason, "recount"));
+            }
+            held.push(Base {
+                lattice: target,
+                tallies,
+            });
+            held.len() - 1
+        }
+    };
+    Ok(&held[at].tallies)
+}
+
 fn handle_query(state: &mut ServeState, args: &Args, request: &Value) -> Result<Value, Value> {
     let name = require(request, "name")?;
     // Validate every request field before ensure_lattice: a malformed
@@ -781,18 +833,34 @@ fn handle_query(state: &mut ServeState, args: &Args, request: &Value) -> Result<
     let mut warnings = Vec::new();
     let (arena, source, explorer) = ensure_lattice(state, &args, &name, &mut warnings)?;
     let reg = &state.datasets[&name];
-    let u: &[bool] = u_override.as_deref().unwrap_or(&reg.u);
 
-    // The warm path: one streaming recount against the shared lattice,
-    // no mining phase (see DESIGN.md §6g). The scale knobs drive the
-    // recount pipeline too — same tallies, different wall clock.
+    // The warm path (see DESIGN.md §6g): the registered predictions'
+    // base tallies, tallied on the first query of this lattice; an
+    // inline `u` recounts only the rows where it differs from them. No
+    // mining phase runs, and the scale knobs drive whichever recount
+    // runs — same tallies, different wall clock.
+    let base = base_tallies(&mut state.bases, &name, &arena, || {
+        explorer
+            .tally_lattice(&reg.data, &arena, &reg.v, &reg.u)
+            .map_err(|e| fail(e.to_string()))
+    })?;
+    let retallied;
+    let tallies = match &u_override {
+        None => base,
+        Some(u) => {
+            retallied = explorer
+                .retally(&reg.data, &arena, base, &reg.v, &reg.u, u)
+                .map_err(|e| fail(e.to_string()))?;
+            &retallied
+        }
+    };
     let report = explorer
-        .from_artifact(&reg.data, &arena, &reg.v, u, &args.metrics)
+        .report_from_tallies(&reg.data, &arena, tallies, &args.metrics)
         .map_err(|e| fail(e.to_string()))?;
     if let Some(reason) = report.completeness().truncation_reason() {
-        // The recount engine emits nothing when cut mid-phase, so a
-        // truncated recount must fail soft — not return empty results
-        // that look like "no divergence anywhere".
+        // A cut recount holds no tallies, so a truncated one must fail
+        // soft — not return empty results that look like "no divergence
+        // anywhere".
         return Err(truncation_failure(reason, "recount"));
     }
 
@@ -1477,6 +1545,158 @@ a,y,1,0
         );
         assert_eq!(responses[2]["ok"].as_bool(), Some(true));
         assert!(responses[2]["timeouts"].as_u64().unwrap() >= 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_query_past_its_deadline_fails_soft_and_caches_no_cut_tally() {
+        let dir = temp_dir("query-deadline");
+        let csv_path = dir.join("toy.csv");
+        std::fs::write(&csv_path, CSV).unwrap();
+        let registry = dir.join("artifacts");
+        let register = register_line(&csv_path);
+        let query = r#"{"op":"query","name":"toy","support":0.25,"top":3}"#;
+        let mined = drive(
+            &serve_args(registry.to_str().unwrap()),
+            &[&register, r#"{"op":"mine","name":"toy","support":0.25}"#],
+        );
+        assert_eq!(mined[1]["source"].as_str(), Some("mined"));
+
+        // The lattice loads from the registry, so only the tally runs
+        // under the expired deadline — and no cut tally is cached: the
+        // second query meets the same deadline, not a partial base.
+        let mut args = serve_args(registry.to_str().unwrap());
+        args.request_timeout_ms = Some(0);
+        let responses = drive(
+            &args,
+            &[
+                &register,
+                query,
+                query,
+                r#"{"op":"stats"}"#,
+                r#"{"op":"trace","req":3}"#,
+            ],
+        );
+        for r in &responses[1..3] {
+            assert_eq!(r["ok"].as_bool(), Some(false), "{r:?}");
+            let error = r["error"].as_str().unwrap();
+            assert!(error.contains("deadline"), "{error}");
+            assert!(error.contains("recount"), "{error}");
+        }
+        assert_eq!(
+            responses[3]["timeouts"].as_u64(),
+            Some(2),
+            "{:?}",
+            responses[3]
+        );
+        let second = responses[4]["body"].as_str().unwrap();
+        assert!(
+            second.contains(r#""span":"explore.tally""#),
+            "the second query tallies anew: {second}"
+        );
+
+        let responses = drive(&serve_args(registry.to_str().unwrap()), &[&register, query]);
+        assert_eq!(responses[1]["source"].as_str(), Some("artifact"));
+        let mut csv_args = serve_args("");
+        csv_args.label = "y".to_string();
+        csv_args.pred = "yhat".to_string();
+        let prepared = prepare(CSV, &csv_args).unwrap();
+        let library = DivExplorer::new(0.25)
+            .explore(
+                &prepared.data,
+                &prepared.v,
+                &prepared.u,
+                &[divexplorer::Metric::FalsePositiveRate],
+            )
+            .unwrap();
+        let results = responses[1]["results"].as_array().unwrap();
+        let top = library.top_k(0, 3, SortBy::Divergence);
+        assert_eq!(results.len(), top.len());
+        for (row, &idx) in results.iter().zip(&top) {
+            let itemset = library.display_itemset(library.items(idx));
+            assert_eq!(row["itemset"].as_str(), Some(itemset.as_str()));
+            assert_eq!(
+                row["divergence"].as_f64().map(f64::to_bits),
+                Some(library.divergence(idx, 0).to_bits())
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn re_registering_a_name_drops_the_tallies_of_its_old_predictions() {
+        let dir = temp_dir("re-register");
+        let csv_path = dir.join("toy.csv");
+        std::fs::write(&csv_path, CSV).unwrap();
+        // Same rows, so the same lattice; other predictions.
+        let other = CSV.replace("a,x,0,1\na,y,0,1", "a,x,0,0\na,y,0,0");
+        assert_ne!(other, CSV);
+        let other_path = dir.join("other.csv");
+        std::fs::write(&other_path, &other).unwrap();
+        let query = r#"{"op":"query","name":"toy","support":0.25,"top":3}"#;
+        let responses = drive(
+            &serve_args(""),
+            &[
+                &register_line(&csv_path),
+                query,
+                &register_line(&other_path),
+                query,
+            ],
+        );
+        let fresh = drive(&serve_args(""), &[&register_line(&other_path), query]);
+        assert_eq!(responses[3]["source"].as_str(), Some("cache"));
+        assert_ne!(responses[1]["results"], fresh[1]["results"]);
+        assert_eq!(responses[3]["results"], fresh[1]["results"]);
+        assert_eq!(responses[3]["dataset_rate"], fresh[1]["dataset_rate"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn each_lattice_of_a_registration_gets_its_own_base() {
+        let dir = temp_dir("base-per-lattice");
+        let csv_path = dir.join("toy.csv");
+        std::fs::write(&csv_path, CSV).unwrap();
+        let register = register_line(&csv_path);
+        let strict = r#"{"op":"query","name":"toy","support":0.5,"top":3}"#;
+        let loose = r#"{"op":"query","name":"toy","support":0.25,"top":3}"#;
+        let responses = drive(&serve_args(""), &[&register, strict, loose, strict]);
+        let fresh = drive(&serve_args(""), &[&register, loose]);
+        for r in &responses[1..] {
+            assert_eq!(r["ok"].as_bool(), Some(true), "{r:?}");
+        }
+        assert_ne!(responses[1]["patterns"], responses[2]["patterns"]);
+        assert_eq!(responses[2]["patterns"], fresh[1]["patterns"]);
+        assert_eq!(responses[2]["results"], fresh[1]["results"]);
+        assert_eq!(responses[3]["results"], responses[1]["results"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_inline_u_query_leaves_the_registered_tallies_untouched() {
+        let dir = temp_dir("base-untouched");
+        let csv_path = dir.join("toy.csv");
+        std::fs::write(&csv_path, CSV).unwrap();
+        let register = register_line(&csv_path);
+        let er = r#"{"op":"query","name":"toy","support":0.25,"top":3,"metric":"ER"}"#;
+        let fpr = r#"{"op":"query","name":"toy","support":0.25,"top":3}"#;
+        let responses = drive(
+            &serve_args(""),
+            &[
+                &register,
+                fpr,
+                r#"{"op":"query","name":"toy","support":0.25,"top":3,"u":[0,0,0,1,1,1,1,0]}"#,
+                er,
+                fpr,
+            ],
+        );
+        let fresh = drive(&serve_args(""), &[&register, er]);
+        for r in &responses[1..] {
+            assert_eq!(r["ok"].as_bool(), Some(true), "{r:?}");
+        }
+        assert_ne!(responses[2]["results"], responses[1]["results"]);
+        assert_eq!(responses[3]["results"], fresh[1]["results"]);
+        assert_eq!(responses[3]["dataset_rate"], fresh[1]["dataset_rate"]);
+        assert_eq!(responses[4]["results"], responses[1]["results"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

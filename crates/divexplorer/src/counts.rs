@@ -1,7 +1,8 @@
-//! Outcome tallies `(T, F, ⊥)` carried through mining as [`fpm::Payload`]s.
+//! Outcome tallies `(T, F, ⊥)` carried through mining as [`fpm::Payload`]s,
+//! and the confusion cells every metric's tallies derive from.
 
 use crate::stats::BetaPosterior;
-use crate::Outcome;
+use crate::{Metric, Outcome};
 use fpm::MaskSpec;
 use serde::{Deserialize, Serialize};
 
@@ -162,6 +163,22 @@ impl MultiCounts {
     pub fn as_slice(&self) -> &[OutcomeCounts] {
         &self.counts[..self.len()]
     }
+
+    /// The tallies of each of `metrics` over a row set whose confusion
+    /// matrix is `cells`: each metric's `(T, F, ⊥)` are sums of cells
+    /// through [`Metric::outcome`], so they equal the per-row tallies
+    /// merged over the same rows, exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `metrics.len() > MAX_METRICS`.
+    pub(crate) fn derive(cells: &ConfusionCells, metrics: &[Metric]) -> Self {
+        let mut mc = Self::empty(metrics.len());
+        for (slot, &metric) in mc.counts.iter_mut().zip(metrics) {
+            *slot = cells.outcome_counts(metric);
+        }
+        mc
+    }
 }
 
 impl fpm::Payload for MultiCounts {
@@ -222,10 +239,253 @@ impl fpm::Payload for MultiCounts {
     }
 }
 
+/// The confusion matrix of one row set: how many of its rows fall in
+/// each (ground truth `v`, prediction `u`) cell.
+///
+/// Every [`Metric`] is an outcome function of `(v, u)` (Definition 3.2),
+/// so these four counts determine every metric's `(T, F, ⊥)` tallies
+/// ([`ConfusionCells::outcome_counts`], [`MultiCounts::derive`]). This
+/// is what the recount path tallies: 16 bytes per row set, whatever the
+/// metric count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ConfusionCells {
+    /// Rows with `v = 1, u = 1`.
+    true_pos: u32,
+    /// Rows with `v = 0, u = 1`.
+    false_pos: u32,
+    /// Rows with `v = 1, u = 0`.
+    false_neg: u32,
+    /// Rows with `v = 0, u = 0`.
+    true_neg: u32,
+}
+
+impl ConfusionCells {
+    /// Counts one more row with ground truth `v` and prediction `u`.
+    pub(crate) fn add_row(&mut self, v: bool, u: bool) {
+        *self.cell_mut(v, u) += 1;
+    }
+
+    /// The number of rows in cell `(v, u)`.
+    fn cell(&self, v: bool, u: bool) -> u32 {
+        match (v, u) {
+            (true, true) => self.true_pos,
+            (false, true) => self.false_pos,
+            (true, false) => self.false_neg,
+            (false, false) => self.true_neg,
+        }
+    }
+
+    fn cell_mut(&mut self, v: bool, u: bool) -> &mut u32 {
+        match (v, u) {
+            (true, true) => &mut self.true_pos,
+            (false, true) => &mut self.false_pos,
+            (true, false) => &mut self.false_neg,
+            (false, false) => &mut self.true_neg,
+        }
+    }
+
+    /// Rows in the set (the sum of the four cells).
+    pub(crate) fn support(&self) -> u64 {
+        self.true_pos as u64 + self.false_pos as u64 + self.false_neg as u64 + self.true_neg as u64
+    }
+
+    /// `metric`'s `(T, F, ⊥)` tallies over the row set: each cell's rows
+    /// land in the bucket of `metric.outcome(v, u)`.
+    pub(crate) fn outcome_counts(&self, metric: Metric) -> OutcomeCounts {
+        let mut counts = OutcomeCounts::default();
+        for v in [false, true] {
+            for u in [false, true] {
+                let n = self.cell(v, u);
+                match metric.outcome(v, u) {
+                    Outcome::T => counts.t += n,
+                    Outcome::F => counts.f += n,
+                    Outcome::Bot => counts.bot += n,
+                }
+            }
+        }
+        counts
+    }
+
+    /// The cells after the rows of `moved` flipped their prediction.
+    ///
+    /// `moved` counts those rows in their *new* cells. A row now in
+    /// `(v, u)` was in `(v, ¬u)`, so rows move between TP and FN and
+    /// between FP and TN. Each cell first loses the rows that left it —
+    /// they were counted in it, so the subtraction cannot underflow —
+    /// and then gains the rows that entered it.
+    pub(crate) fn with_moved_rows(&self, moved: &ConfusionCells) -> Self {
+        ConfusionCells {
+            true_pos: self.true_pos - moved.false_neg + moved.true_pos,
+            false_pos: self.false_pos - moved.true_neg + moved.false_pos,
+            false_neg: self.false_neg - moved.true_pos + moved.false_neg,
+            true_neg: self.true_neg - moved.false_pos + moved.true_neg,
+        }
+    }
+
+    /// The cells of a row set with `support` rows whose TP, FP and FN
+    /// cells the recount counted as `counted`; TN is the rest.
+    pub(crate) fn from_counted(support: u64, counted: &CountedCells) -> Self {
+        let [true_pos, false_pos, false_neg] = counted.0;
+        ConfusionCells {
+            true_pos,
+            false_pos,
+            false_neg,
+            true_neg: (support - true_pos as u64 - false_pos as u64 - false_neg as u64) as u32,
+        }
+    }
+}
+
+/// The recount payload behind [`ConfusionCells`]: the TP, FP and FN
+/// cells of a row set. It lowers to three class masks whatever the
+/// metric count; TN is never counted, since it is the support minus the
+/// other three ([`ConfusionCells::from_counted`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct CountedCells([u32; 3]);
+
+impl CountedCells {
+    /// The payload of one row: the indicator of its cell, all zero for TN.
+    pub(crate) fn of_row(v: bool, u: bool) -> Self {
+        let mut cells = [0; 3];
+        match (v, u) {
+            (true, true) => cells[0] = 1,
+            (false, true) => cells[1] = 1,
+            (true, false) => cells[2] = 1,
+            (false, false) => {}
+        }
+        CountedCells(cells)
+    }
+}
+
+impl fpm::Payload for CountedCells {
+    fn zero() -> Self {
+        CountedCells::default()
+    }
+    fn merge(&mut self, other: &Self) {
+        for (a, b) in self.0.iter_mut().zip(other.0) {
+            *a += b;
+        }
+    }
+
+    /// Lowers to the three classes TP, FP, FN when every per-row payload
+    /// is a cell indicator, the [`CountedCells::of_row`] shape.
+    fn mask_spec(payloads: &[Self]) -> Option<MaskSpec> {
+        payloads
+            .iter()
+            .all(|p| p.0.iter().all(|&c| c <= 1))
+            .then(|| MaskSpec::leaf(3))
+    }
+    fn encode_classes(&self, _spec: &MaskSpec, set: &mut dyn FnMut(usize)) {
+        for (class, &c) in self.0.iter().enumerate() {
+            if c == 1 {
+                set(class);
+            }
+        }
+    }
+    fn decode_classes(_spec: &MaskSpec, counts: &[u64]) -> Self {
+        CountedCells([counts[0] as u32, counts[1] as u32, counts[2] as u32])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use fpm::Payload;
+
+    #[test]
+    fn derived_counts_match_the_per_row_outcome_for_every_metric_and_cell() {
+        const ALL: [Metric; 12] = [
+            Metric::FalsePositiveRate,
+            Metric::FalseNegativeRate,
+            Metric::ErrorRate,
+            Metric::Accuracy,
+            Metric::TruePositiveRate,
+            Metric::TrueNegativeRate,
+            Metric::PositivePredictiveValue,
+            Metric::NegativePredictiveValue,
+            Metric::FalseDiscoveryRate,
+            Metric::FalseOmissionRate,
+            Metric::PositiveRate,
+            Metric::PredictedPositiveRate,
+        ];
+        for metric in ALL {
+            for v in [false, true] {
+                for u in [false, true] {
+                    let mut cells = ConfusionCells::default();
+                    cells.add_row(v, u);
+                    assert_eq!(
+                        cells.outcome_counts(metric),
+                        OutcomeCounts::from_outcome(metric.outcome(v, u)),
+                        "{metric} at v={v} u={u}"
+                    );
+                }
+            }
+        }
+        for pass in ALL.chunks(MAX_METRICS) {
+            let mut merged = MultiCounts::zero();
+            let mut cells = ConfusionCells::default();
+            for (v, u) in [(true, true), (false, true), (false, true), (true, false)] {
+                let outcomes: Vec<Outcome> = pass.iter().map(|m| m.outcome(v, u)).collect();
+                merged.merge(&MultiCounts::from_outcomes(&outcomes));
+                cells.add_row(v, u);
+            }
+            assert_eq!(MultiCounts::derive(&cells, pass), merged);
+        }
+    }
+
+    #[test]
+    fn counted_cells_round_trip_through_three_class_masks() {
+        let rows = [
+            (true, true),
+            (false, true),
+            (true, false),
+            (false, false),
+            (true, true),
+        ];
+        let payloads: Vec<CountedCells> = rows
+            .iter()
+            .map(|&(v, u)| CountedCells::of_row(v, u))
+            .collect();
+        let masks = fpm::ClassMasks::build(&payloads).expect("indicators are maskable");
+        assert_eq!(masks.n_classes(), 3);
+        let tids = [0u32, 2, 3, 4];
+        let mut counts = vec![0u64; 3];
+        masks.count_sparse(&tids, &mut counts);
+        let decoded: CountedCells = masks.decode(&counts);
+        let mut expected = ConfusionCells::default();
+        for &t in &tids {
+            let (v, u) = rows[t as usize];
+            expected.add_row(v, u);
+        }
+        assert_eq!(
+            ConfusionCells::from_counted(tids.len() as u64, &decoded),
+            expected
+        );
+    }
+
+    #[test]
+    fn moving_rows_flips_their_prediction_cells() {
+        // Base: rows (v, u) = TP, TP, FP, FN, TN. Rows 0 and 2 flip u.
+        let base_rows = [
+            (true, true),
+            (true, true),
+            (false, true),
+            (true, false),
+            (false, false),
+        ];
+        let mut base = ConfusionCells::default();
+        let mut flipped = ConfusionCells::default();
+        let mut moved = ConfusionCells::default();
+        for (r, &(v, u)) in base_rows.iter().enumerate() {
+            base.add_row(v, u);
+            let u2 = if r == 0 || r == 2 { !u } else { u };
+            flipped.add_row(v, u2);
+            if u2 != u {
+                moved.add_row(v, u2);
+            }
+        }
+        assert_eq!(base.with_moved_rows(&moved), flipped);
+        assert_eq!(base.with_moved_rows(&ConfusionCells::default()), base);
+    }
 
     #[test]
     fn rate_is_nan_on_empty_reference_class() {

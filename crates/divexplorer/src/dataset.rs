@@ -116,9 +116,20 @@ impl DiscreteDataset {
     /// Converts the dataset into the mining substrate's transaction form:
     /// one transaction per row, one item per attribute.
     pub fn to_transactions(&self) -> fpm::TransactionDb {
+        self.transactions_of(0..self.n_rows)
+    }
+
+    /// The rows `rows`, in the order given, as a transaction table over
+    /// the whole item universe — e.g. only the rows whose prediction
+    /// changed, for a delta recount. Built straight from
+    /// [`DiscreteDataset::row`]; no sub-dataset is materialized.
+    pub(crate) fn transactions_of(
+        &self,
+        rows: impl IntoIterator<Item = usize>,
+    ) -> fpm::TransactionDb {
         let mut builder = fpm::TransactionDbBuilder::new(self.schema.n_items());
         let mut buf: Vec<ItemId> = Vec::with_capacity(self.n_attributes());
-        for r in 0..self.n_rows {
+        for r in rows {
             buf.clear();
             for (a, &c) in self.row(r).iter().enumerate() {
                 buf.push(self.schema.item_id(a, c as usize));

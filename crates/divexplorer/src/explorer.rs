@@ -15,12 +15,13 @@
 
 use std::time::Instant;
 
-use crate::counts::{MultiCounts, OutcomeCounts, MAX_METRICS};
+use crate::counts::{ConfusionCells, CountedCells, MultiCounts, OutcomeCounts, MAX_METRICS};
 use crate::dataset::DiscreteDataset;
 use crate::report::DivergenceReport;
 use crate::{Metric, Outcome};
 use fpm::{
     Budget, BudgetSink, CancelToken, Completeness, ItemsetArena, ItemsetSink, Payload, TracingSink,
+    TruncationReason,
 };
 
 /// Errors from [`DivExplorer::explore`].
@@ -232,17 +233,19 @@ impl DivExplorer {
     /// lattice — the warm path behind on-disk artifacts and the
     /// [`crate::ArenaCache`]. The frequent-itemset lattice depends only
     /// on the dataset and the support threshold; new label vectors only
-    /// change the `(T, F, ⊥)` tallies, so this runs exactly one exact
-    /// streaming recount ([`fpm::MiningTask::recount`]) and **no mining
-    /// phase**. The report is bit-identical to a cold
-    /// [`DivExplorer::explore`] of the same configuration.
+    /// change which confusion cell each row lands in. So this tallies
+    /// the lattice's confusion cells in one exact streaming recount
+    /// ([`DivExplorer::tally_lattice`]) and derives the metrics from them
+    /// ([`DivExplorer::report_from_tallies`]), with **no mining phase**.
+    /// The report is bit-identical to a cold [`DivExplorer::explore`] of
+    /// the same configuration.
     ///
     /// `candidates` must be the canonical lattice mined from `data` at
     /// this explorer's support threshold (artifacts persist the key
     /// alongside the lattice; callers match it before recounting). A
     /// *stricter* threshold than the lattice was mined at is also sound —
-    /// the recount filters — but a looser one silently misses patterns,
-    /// so key-checking is on the caller.
+    /// the derivation filters — but a looser one silently misses
+    /// patterns, so key-checking is on the caller.
     pub fn from_artifact(
         &self,
         data: &DiscreteDataset,
@@ -252,49 +255,210 @@ impl DivExplorer {
         metrics: &[Metric],
     ) -> Result<DivergenceReport, ExploreError> {
         self.validate(data, v, u, metrics)?;
-        let n = data.n_rows();
-        let (payloads, dataset_counts) = {
+        let tallies = self.tally_lattice(data, candidates, v, u)?;
+        self.report_from_tallies(data, candidates, &tallies, metrics)
+    }
+
+    /// Tallies the confusion cells of every candidate in `candidates`
+    /// under ground truth `v` and predictions `u`: one full streaming
+    /// recount of `data` with this explorer's threads, shards, prefetch,
+    /// budget and cancel token. The result is metric-free; derive any
+    /// metric list from it with [`DivExplorer::report_from_tallies`], or
+    /// move it to other predictions with [`DivExplorer::retally`].
+    ///
+    /// A deadline or cancellation mid-recount yields tallies with no
+    /// cells and a truncated [`LatticeTallies::completeness`].
+    pub fn tally_lattice(
+        &self,
+        data: &DiscreteDataset,
+        candidates: &ItemsetArena<()>,
+        v: &[bool],
+        u: &[bool],
+    ) -> Result<LatticeTallies, ExploreError> {
+        validate_labels(data, v, u)?;
+        let (payloads, dataset) = {
             let _span = obs::span("explore.tally");
-            tally_outcomes(v, u, metrics)
+            tally_cells(v.iter().copied().zip(u.iter().copied()))
         };
         let db = {
             let _span = obs::span("explore.encode");
             data.to_transactions()
         };
-        let mut params = fpm::MiningParams::with_min_support_fraction(self.min_support, n);
-        params.max_len = self.max_len;
-        let min_support_count = params.min_support_count;
-        let (store, completeness, shard_stats) = {
-            let _span = obs::span("explore.recount");
-            let mut traced = TracingSink::new(ItemsetArena::new());
-            let verdict = self
-                .mining_task(&db, &payloads, &params)
-                .recount_into(candidates, &mut traced);
-            let store = traced.into_inner();
-            obs::counter("fpm.arena_bytes", store.approx_bytes());
-            (store, verdict.completeness, verdict.shards)
+        let _span = obs::span("explore.recount");
+        let (cells, verdict) = self.recount_cells(&db, &payloads, candidates);
+        Ok(LatticeTallies {
+            cells,
+            dataset,
+            completeness: verdict.completeness,
+            shards: verdict.shards,
+        })
+    }
+
+    /// The tallies of `candidates` under predictions `u`, from `base`,
+    /// their tallies under `u_base`: only the rows where `u` and
+    /// `u_base` differ are recounted, as a sub-table, and each
+    /// candidate's cells gain the exact integer delta. A differing row
+    /// that is now in cell `(v, u)` was in `(v, ¬u)`, so rows only move
+    /// between TP and FN and between FP and TN. The result is
+    /// bit-identical to [`DivExplorer::tally_lattice`] under `u`, at a
+    /// cost that grows with the number of differing rows; `base` is left
+    /// as it was.
+    ///
+    /// A truncated `base` yields itself; a deadline or cancellation
+    /// mid-recount yields tallies with no cells.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a complete `base` was not tallied over `candidates`.
+    pub fn retally(
+        &self,
+        data: &DiscreteDataset,
+        candidates: &ItemsetArena<()>,
+        base: &LatticeTallies,
+        v: &[bool],
+        u_base: &[bool],
+        u: &[bool],
+    ) -> Result<LatticeTallies, ExploreError> {
+        validate_labels(data, v, u_base)?;
+        validate_labels(data, v, u)?;
+        if base.completeness.is_truncated() {
+            return Ok(base.clone());
+        }
+        assert_eq!(
+            base.cells.len(),
+            candidates.len(),
+            "base tallies belong to another lattice"
+        );
+        let (rows, payloads, moved_dataset) = {
+            let _span = obs::span("explore.tally");
+            let rows: Vec<usize> = (0..u.len()).filter(|&r| u[r] != u_base[r]).collect();
+            let (payloads, moved) = tally_cells(rows.iter().map(|&r| (v[r], u[r])));
+            (rows, payloads, moved)
         };
+        let db = {
+            let _span = obs::span("explore.encode");
+            data.transactions_of(rows.iter().copied())
+        };
+        let _span = obs::span("explore.recount");
+        let (moved, verdict) = self.recount_cells(&db, &payloads, candidates);
+        // A cut recount has no cells, so neither has the result.
+        let cells = base
+            .cells
+            .iter()
+            .zip(&moved)
+            .map(|(cells, moved)| cells.with_moved_rows(moved))
+            .collect();
+        Ok(LatticeTallies {
+            cells,
+            dataset: base.dataset.with_moved_rows(&moved_dataset),
+            completeness: verdict.completeness,
+            shards: verdict.shards,
+        })
+    }
+
+    /// Derives the report of `metrics` from `tallies` — no recount, no
+    /// row is read. Every candidate that meets this explorer's support
+    /// threshold keeps the [`MultiCounts`] its cells sum to, in
+    /// candidate-id order, up to the budget's itemset cap; the report
+    /// equals [`DivExplorer::from_artifact`] under the tallies'
+    /// predictions, bit for bit. Truncated tallies give an empty report
+    /// with their truncated completeness.
+    ///
+    /// `tallies` must have been tallied over `candidates` from `data`.
+    /// The derivation runs under the `explore.recount` span, so every
+    /// step of [`DivExplorer::from_artifact`] is inside a layer span.
+    ///
+    /// # Panics
+    ///
+    /// Panics if complete `tallies` hold another number of candidates.
+    pub fn report_from_tallies(
+        &self,
+        data: &DiscreteDataset,
+        candidates: &ItemsetArena<()>,
+        tallies: &LatticeTallies,
+        metrics: &[Metric],
+    ) -> Result<DivergenceReport, ExploreError> {
+        validate_metrics(metrics)?;
+        self.validate_support()?;
+        let _span = obs::span("explore.recount");
+        let n = data.n_rows();
+        let min_support_count =
+            fpm::MiningParams::with_min_support_fraction(self.min_support, n).min_support_count;
+        let mut traced = TracingSink::new(ItemsetArena::new());
+        let mut completeness = tallies.completeness;
+        if completeness.is_complete() {
+            assert_eq!(
+                tallies.cells.len(),
+                candidates.len(),
+                "tallies belong to another lattice"
+            );
+            let start = Instant::now();
+            let mut emitted = 0u64;
+            for (id, cells) in tallies.cells.iter().enumerate() {
+                let support = cells.support();
+                if support < min_support_count {
+                    continue;
+                }
+                if self.budget.max_itemsets.is_some_and(|max| emitted >= max) {
+                    completeness = Completeness::Truncated {
+                        reason: TruncationReason::ItemsetLimit,
+                        emitted,
+                        elapsed: start.elapsed(),
+                    };
+                    break;
+                }
+                traced.emit(
+                    candidates.items(id),
+                    support,
+                    &MultiCounts::derive(cells, metrics),
+                );
+                emitted += 1;
+            }
+        }
+        let store = traced.into_inner();
+        obs::counter("fpm.arena_bytes", store.approx_bytes());
         Ok(DivergenceReport::from_store(
             data.schema().clone(),
             metrics.to_vec(),
             n,
             min_support_count,
-            dataset_counts,
+            MultiCounts::derive(&tallies.dataset, metrics),
             store,
         )
         .with_completeness(completeness)
-        .with_shard_stats(shard_stats))
+        .with_shard_stats(tallies.shards))
+    }
+
+    /// The one recount behind every tally, full or delta: folds `db`'s
+    /// rows over `candidates` through [`fpm::MiningTask::recount`] under
+    /// this explorer's knobs and budget, and returns each candidate's
+    /// confusion cells (none when the pass was cut) with the verdict.
+    fn recount_cells(
+        &self,
+        db: &fpm::TransactionDb,
+        payloads: &[CountedCells],
+        candidates: &ItemsetArena<()>,
+    ) -> (Vec<ConfusionCells>, fpm::MiningVerdict) {
+        let params = fpm::MiningParams::with_min_support_count(1);
+        let tallies = self.mining_task(db, payloads, &params).recount(candidates);
+        let cells = tallies
+            .supports
+            .iter()
+            .zip(&tallies.payloads)
+            .map(|(&support, counted)| ConfusionCells::from_counted(support, counted))
+            .collect();
+        (cells, tallies.verdict)
     }
 
     /// Builds the configured [`fpm::MiningTask`] over `db` — the single
     /// place where explorer knobs (backend, threads, shards, budget,
     /// cancellation) are translated into the mining API.
-    fn mining_task<'a>(
+    fn mining_task<'a, P: Payload + Send + Sync>(
         &self,
         db: &'a fpm::TransactionDb,
-        payloads: &'a [MultiCounts],
+        payloads: &'a [P],
         params: &fpm::MiningParams,
-    ) -> fpm::MiningTask<'a, MultiCounts> {
+    ) -> fpm::MiningTask<'a, P> {
         let mut task = fpm::MiningTask::with_params(db, params.clone())
             .payloads(payloads)
             .algorithm(self.algorithm)
@@ -462,38 +626,82 @@ impl DivExplorer {
         u: &[bool],
         metrics: &[Metric],
     ) -> Result<(), ExploreError> {
-        if data.n_rows() == 0 {
-            return Err(ExploreError::EmptyDataset);
-        }
-        if v.len() != data.n_rows() {
-            return Err(ExploreError::LengthMismatch {
-                which: "ground truth",
-                got: v.len(),
-                expected: data.n_rows(),
-            });
-        }
-        if u.len() != data.n_rows() {
-            return Err(ExploreError::LengthMismatch {
-                which: "predictions",
-                got: u.len(),
-                expected: data.n_rows(),
-            });
-        }
-        if metrics.is_empty() {
-            return Err(ExploreError::NoMetrics);
-        }
-        if metrics.len() > MAX_METRICS {
-            return Err(ExploreError::TooManyMetrics(metrics.len()));
-        }
-        for (i, &m) in metrics.iter().enumerate() {
-            if metrics[..i].contains(&m) {
-                return Err(ExploreError::DuplicateMetric(m));
-            }
-        }
+        validate_labels(data, v, u)?;
+        validate_metrics(metrics)?;
+        self.validate_support()
+    }
+
+    fn validate_support(&self) -> Result<(), ExploreError> {
         if !(0.0..=1.0).contains(&self.min_support) || self.min_support.is_nan() {
             return Err(ExploreError::InvalidSupport(self.min_support));
         }
         Ok(())
+    }
+}
+
+fn validate_labels(data: &DiscreteDataset, v: &[bool], u: &[bool]) -> Result<(), ExploreError> {
+    if data.n_rows() == 0 {
+        return Err(ExploreError::EmptyDataset);
+    }
+    if v.len() != data.n_rows() {
+        return Err(ExploreError::LengthMismatch {
+            which: "ground truth",
+            got: v.len(),
+            expected: data.n_rows(),
+        });
+    }
+    if u.len() != data.n_rows() {
+        return Err(ExploreError::LengthMismatch {
+            which: "predictions",
+            got: u.len(),
+            expected: data.n_rows(),
+        });
+    }
+    Ok(())
+}
+
+fn validate_metrics(metrics: &[Metric]) -> Result<(), ExploreError> {
+    if metrics.is_empty() {
+        return Err(ExploreError::NoMetrics);
+    }
+    if metrics.len() > MAX_METRICS {
+        return Err(ExploreError::TooManyMetrics(metrics.len()));
+    }
+    for (i, &m) in metrics.iter().enumerate() {
+        if metrics[..i].contains(&m) {
+            return Err(ExploreError::DuplicateMetric(m));
+        }
+    }
+    Ok(())
+}
+
+/// The confusion cells of every candidate of one lattice under one
+/// `(v, u)`, plus the whole table's: what [`DivExplorer::tally_lattice`]
+/// counts and [`DivExplorer::retally`] moves to new predictions.
+///
+/// Metric-free: [`DivExplorer::report_from_tallies`] derives any metric
+/// list from it without reading a row. The cells are aligned with the
+/// candidate arena they were tallied over (cell `id` belongs to
+/// `candidates.items(id)`), 16 bytes per candidate. Tallies that a
+/// deadline or a cancellation cut hold no cells.
+#[derive(Debug, Clone)]
+pub struct LatticeTallies {
+    cells: Vec<ConfusionCells>,
+    dataset: ConfusionCells,
+    completeness: Completeness,
+    shards: Option<fpm::ShardStats>,
+}
+
+impl LatticeTallies {
+    /// Whether the recount finished, or which limit cut it.
+    pub fn completeness(&self) -> &Completeness {
+        &self.completeness
+    }
+
+    /// The statistics of the recount that produced these tallies: for a
+    /// [`DivExplorer::retally`], the recount of the differing rows only.
+    pub fn shard_stats(&self) -> Option<&fpm::ShardStats> {
+        self.shards.as_ref()
     }
 }
 
@@ -553,6 +761,19 @@ fn tally_outcomes(v: &[bool], u: &[bool], metrics: &[Metric]) -> (Vec<MultiCount
         payloads.push(mc);
     }
     (payloads, dataset_counts)
+}
+
+/// The recount's lines 1–2: each row's confusion cell as a three-mask
+/// payload, plus the cells of all the rows together.
+fn tally_cells(rows: impl Iterator<Item = (bool, bool)>) -> (Vec<CountedCells>, ConfusionCells) {
+    let mut total = ConfusionCells::default();
+    let payloads = rows
+        .map(|(v, u)| {
+            total.add_row(v, u);
+            CountedCells::of_row(v, u)
+        })
+        .collect();
+    (payloads, total)
 }
 
 /// Computes dataset-level outcome tallies without mining — useful for
@@ -652,6 +873,108 @@ mod tests {
             let idx = recounted.find(p.items).unwrap();
             assert_eq!(recounted.support(idx), p.support);
             assert_eq!(recounted.counts(idx), p.counts);
+        }
+    }
+
+    /// The canonical candidate lattice of a report, as artifacts hold it.
+    fn candidates_of(report: &DivergenceReport) -> ItemsetArena<()> {
+        let mut candidates = ItemsetArena::new();
+        for p in report.patterns() {
+            candidates.push(p.items, p.support, ());
+        }
+        candidates.sort_canonical();
+        candidates
+    }
+
+    #[test]
+    fn retally_recounts_only_the_differing_rows_and_matches_a_full_tally() {
+        let (data, v, u) = fixture();
+        let metrics = [Metric::FalsePositiveRate, Metric::ErrorRate];
+        let explorer = DivExplorer::new(0.1);
+        let candidates = candidates_of(&explorer.explore(&data, &v, &u, &metrics).unwrap());
+        let base = explorer.tally_lattice(&data, &candidates, &v, &u).unwrap();
+        let before = base.clone();
+        let mut u2 = u.clone();
+        u2[1] = !u2[1];
+        u2[6] = !u2[6];
+
+        let delta = explorer
+            .retally(&data, &candidates, &base, &v, &u, &u2)
+            .unwrap();
+        let full = explorer.tally_lattice(&data, &candidates, &v, &u2).unwrap();
+        assert!(delta.completeness().is_complete());
+        assert_eq!(delta.cells, full.cells);
+        assert_eq!(delta.dataset, full.dataset);
+        assert_eq!(delta.shard_stats().unwrap().recount_rows, 2);
+        assert_eq!(full.shard_stats().unwrap().recount_rows, 8);
+        assert_eq!(base.cells, before.cells, "the base is left as it was");
+
+        let derived = explorer
+            .report_from_tallies(&data, &candidates, &delta, &metrics)
+            .unwrap();
+        let cold = explorer.explore(&data, &v, &u2, &metrics).unwrap();
+        assert_eq!(derived.len(), cold.len());
+        assert_eq!(derived.dataset_rate(0), cold.dataset_rate(0));
+        for p in cold.patterns() {
+            let idx = derived.find(p.items).unwrap();
+            assert_eq!(derived.support(idx), p.support);
+            assert_eq!(derived.counts(idx), p.counts);
+        }
+    }
+
+    #[test]
+    fn a_cut_tally_has_no_cells_and_derives_an_empty_truncated_report() {
+        let (data, v, u) = fixture();
+        let metrics = [Metric::ErrorRate];
+        let candidates = candidates_of(
+            &DivExplorer::new(0.1)
+                .explore(&data, &v, &u, &metrics)
+                .unwrap(),
+        );
+        let token = CancelToken::new();
+        token.cancel();
+        let explorer = DivExplorer::new(0.1).with_cancel_token(token);
+        let cut = explorer.tally_lattice(&data, &candidates, &v, &u).unwrap();
+        assert!(cut.cells.is_empty());
+        assert_eq!(
+            cut.completeness().truncation_reason(),
+            Some(fpm::TruncationReason::Cancelled)
+        );
+        let report = explorer
+            .report_from_tallies(&data, &candidates, &cut, &metrics)
+            .unwrap();
+        assert!(report.is_empty());
+        assert_eq!(
+            report.completeness().truncation_reason(),
+            Some(fpm::TruncationReason::Cancelled)
+        );
+        // A cut base stays cut under a delta; nothing is recounted.
+        let delta = explorer
+            .retally(&data, &candidates, &cut, &v, &u, &v)
+            .unwrap();
+        assert!(delta.cells.is_empty());
+    }
+
+    #[test]
+    fn an_itemset_cap_keeps_the_first_frequent_candidates_of_a_derivation() {
+        let (data, v, u) = fixture();
+        let metrics = [Metric::ErrorRate];
+        let full = DivExplorer::new(0.1)
+            .explore(&data, &v, &u, &metrics)
+            .unwrap();
+        let candidates = candidates_of(&full);
+        let capped = DivExplorer::new(0.1)
+            .with_budget(Budget::unlimited().with_max_itemsets(3))
+            .from_artifact(&data, &candidates, &v, &u, &metrics)
+            .unwrap();
+        assert_eq!(capped.len(), 3);
+        assert_eq!(
+            capped.completeness().truncation_reason(),
+            Some(fpm::TruncationReason::ItemsetLimit)
+        );
+        for (idx, p) in capped.patterns().enumerate() {
+            assert_eq!(p.items, candidates.items(idx));
+            assert_eq!(full.counts(full.find(p.items).unwrap()), p.counts);
         }
     }
 

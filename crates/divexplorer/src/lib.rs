@@ -95,7 +95,7 @@ pub use counts::{MultiCounts, OutcomeCounts, MAX_METRICS};
 pub use dataset::{DatasetBuilder, DiscreteDataset};
 pub use discretize::BinningStrategy;
 pub use drift::{drift_between, DriftReport, PatternDrift};
-pub use explorer::{DivExplorer, ExplorationStats, ExploreError, StageTimings};
+pub use explorer::{DivExplorer, ExplorationStats, ExploreError, LatticeTallies, StageTimings};
 pub use fairness::{audit_fairness, FairnessAudit};
 pub use item::{Item, ItemId};
 pub use lattice::{Lattice, LatticeNode};

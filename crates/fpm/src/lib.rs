@@ -113,7 +113,9 @@ pub use itemset::FrequentItemset;
 pub use kernels::{AlignedWords, Kernel};
 pub use masks::{ClassMasks, MaskSpec};
 pub use payload::{CountPayload, Payload};
-pub use sharded::{MemShardSource, Shard, ShardHandle, ShardPhase, ShardSource, ShardStats};
+pub use sharded::{
+    MemShardSource, RecountTallies, Shard, ShardHandle, ShardPhase, ShardSource, ShardStats,
+};
 pub use sink::{CountingSink, FilterSink, ItemsetSink, TopKBySupportSink, VecSink};
 pub use task::{MiningOutcome, MiningTask, MiningVerdict};
 pub use trace::TracingSink;

@@ -52,6 +52,7 @@ use crate::masks::ClassMasks;
 use crate::parallel::SharedLimits;
 use crate::payload::Payload;
 use crate::sink::ItemsetSink;
+use crate::task::MiningVerdict;
 use crate::transaction::{ItemId, TransactionDb, TransactionDbBuilder};
 use crate::MiningParams;
 
@@ -456,12 +457,15 @@ fn recount_shard<P: Payload>(
     }
     let masks = ClassMasks::build(&shard.payloads);
     let mut counts = vec![0u64; masks.as_ref().map_or(0, ClassMasks::n_classes)];
-    // Prefix-reuse AND-fold: a canonical arena visits the lattice in DFS
-    // preorder, so consecutive candidates share itemset prefixes. Keep a
-    // stack of partial intersections and recompute only the suffix that
-    // differs from the previous candidate — amortized one in-place AND
-    // per candidate instead of `len` allocating ones. A non-canonical
-    // ordering stays correct (an unshared prefix just recomputes).
+    // Prefix-reuse AND-fold: keep a stack of partial intersections and
+    // recompute only the suffix that differs from the previous
+    // candidate, in place, from pooled buffers. A canonical arena is
+    // ordered by length first, then lexicographically — not DFS
+    // preorder — so only candidates of one length share prefixes, and
+    // each length level restarts the stack. On the seed-42 lattices
+    // that costs 1.58–1.75× the ANDs of a lexicographic (DFS) order,
+    // e.g. 6,665 against 3,798 on adult at s = 0.05. Any order stays
+    // correct: an unshared prefix just recomputes.
     let mut stack: Vec<Bitset> = Vec::new();
     let mut prev: Vec<ItemId> = Vec::new();
     let mut pool: Vec<AlignedWords> = Vec::new();
@@ -1157,28 +1161,180 @@ where
     (completeness, stats)
 }
 
-/// Recounts a previously mined candidate lattice against `source`,
-/// streaming every candidate meeting `threshold` — with exact global
-/// supports and freshly accumulated payloads — into `sink` in
-/// candidate-id order.
+/// Exact per-candidate tallies of one recount pass, as [`recount`]
+/// returns them: `supports[id]` and `payloads[id]` are the support and
+/// the merged payload of `candidates.items(id)`, with no threshold
+/// filter, so a caller can keep them aligned with the candidate arena.
 ///
-/// This is phase 2 of the two-pass scheme run alone. The frequent-itemset
-/// lattice depends only on the dataset and the threshold; a new payload
-/// vector (e.g. a different classifier's label column) only changes the
+/// A pass cut by the budget or the cancel token holds no tallies (both
+/// vectors are empty): partially recounted sums never leave the engine.
+/// Its verdict is truncated and [`ShardStats::truncated_phase`] reads
+/// [`ShardPhase::Recount`].
+#[derive(Debug, Clone)]
+pub struct RecountTallies<P> {
+    /// Support of each candidate, by candidate id.
+    pub supports: Vec<u64>,
+    /// Merged payload of each candidate's covering rows, by candidate id.
+    pub payloads: Vec<P>,
+    /// Whether the pass finished, and its [`ShardStats`] (always `Some`).
+    pub verdict: MiningVerdict,
+}
+
+impl<P: Payload> RecountTallies<P> {
+    /// Streams every candidate whose support meets `threshold` into
+    /// `sink`, in candidate-id order, stopping after `max_itemsets`
+    /// emissions when a cap is set. A cut pass streams nothing.
+    ///
+    /// Returns the completeness of the stream: the pass's own verdict
+    /// when it was cut, [`TruncationReason::ItemsetLimit`] when the cap
+    /// stopped the stream (the emitted prefix carries exact tallies),
+    /// and [`Completeness::Complete`] otherwise.
+    pub fn emit_frequent<S: ItemsetSink<P>>(
+        &self,
+        candidates: &ItemsetArena<()>,
+        threshold: u64,
+        max_itemsets: Option<u64>,
+        sink: &mut S,
+    ) -> Completeness {
+        if self.verdict.completeness.is_truncated() {
+            return self.verdict.completeness;
+        }
+        let start = Instant::now();
+        let threshold = threshold.max(1);
+        let mut emitted = 0u64;
+        for (id, &support) in self.supports.iter().enumerate() {
+            if support < threshold {
+                continue;
+            }
+            if max_itemsets.is_some_and(|max| emitted >= max) {
+                return Completeness::Truncated {
+                    reason: TruncationReason::ItemsetLimit,
+                    emitted,
+                    elapsed: start.elapsed(),
+                };
+            }
+            sink.emit(candidates.items(id), support, &self.payloads[id]);
+            emitted += 1;
+        }
+        Completeness::Complete
+    }
+}
+
+/// Recounts a previously mined candidate lattice against `source`:
+/// every candidate's exact global support and freshly merged payload,
+/// indexed by candidate id, with no threshold filter.
+///
+/// This is phase 2 of the two-pass scheme run alone, and the one
+/// recount fold every warm path shares. The frequent-itemset lattice
+/// depends only on the dataset and the threshold; a new payload vector
+/// (e.g. a different classifier's label column) only changes the
 /// payload tallies. Re-analysis therefore needs exactly this streaming
 /// recount, never a fresh mining phase — the invariant the on-disk
-/// artifact layer is built on. Candidates must be canonical (as produced
-/// by [`mine_into_bounded`] or [`ItemsetArena::sort_canonical`]) for the
-/// output to be canonical; the recount itself never reorders.
+/// artifact layer is built on. The source may hold any rows over the
+/// candidates' item universe, e.g. only the rows whose payload changed.
 ///
-/// A budget cut mid-recount yields an **empty** truncated result with
-/// [`ShardStats::truncated_phase`] = [`ShardPhase::Recount`], matching
-/// the full pipeline: partially recounted tallies are never emitted. An
-/// itemset cap tripped during emission still yields a sound prefix.
+/// The budget's deadline and the cancel token are polled throughout; a
+/// cut pass returns empty tallies (see [`RecountTallies`]). The itemset
+/// cap applies where candidates are emitted
+/// ([`RecountTallies::emit_frequent`]); byte and depth caps were spent
+/// when the lattice was mined.
 ///
 /// `n_threads` and `prefetch` engage the same pipelined recount as
 /// [`mine_into_bounded`]; `(1, 0)` is the sequential one-shard-resident
-/// pass.
+/// pass. Records the `fpm.sharded.recount` span and the
+/// `fpm.sharded.recount_rows` counter.
+///
+/// # Panics
+///
+/// Panics if `n_threads == 0`.
+pub fn recount<P, C>(
+    source: &C,
+    candidates: &ItemsetArena<()>,
+    n_threads: usize,
+    prefetch: usize,
+    budget: &Budget,
+    cancel: Option<&CancelToken>,
+) -> RecountTallies<P>
+where
+    P: Payload + Send + Sync,
+    C: ShardSource<P>,
+{
+    assert!(n_threads > 0, "need at least one thread");
+    let start = Instant::now();
+    let mut stats = ShardStats {
+        n_shards: source.n_shards(),
+        candidates: candidates.len() as u64,
+        candidate_bytes: candidates.approx_bytes(),
+        ..ShardStats::default()
+    };
+    if candidates.is_empty() || source.n_rows() == 0 {
+        return RecountTallies {
+            supports: vec![0; candidates.len()],
+            payloads: (0..candidates.len()).map(|_| P::zero()).collect(),
+            verdict: MiningVerdict {
+                completeness: Completeness::Complete,
+                shards: Some(stats),
+            },
+        };
+    }
+
+    let shared = SharedLimits::new(budget, cancel, start);
+    let resident = ResidentGauge::default();
+    let recount_span = obs::span("fpm.sharded.recount");
+    let (mut supports, mut payloads, pass) =
+        recount_pass(source, candidates, n_threads, prefetch, &shared, &resident);
+    stats.recount_rows = pass.rows;
+    stats.io_wait_us = pass.io_wait_us;
+    stats.streamed_bytes = pass.streamed_bytes;
+    stats.compressed_bytes = pass.compressed_bytes;
+    obs::counter("fpm.sharded.recount_rows", stats.recount_rows);
+    kernels::publish_selected(pass.kernel_words);
+    // Every cut trips a reason first (deadline, cancel or a contained
+    // panic), so the reason alone decides whether the tallies are whole.
+    let reason = shared.resolve_reason();
+    debug_assert!(
+        !pass.cut || reason.is_some(),
+        "a cut recount names its reason"
+    );
+    if reason.is_some() {
+        stats.truncated_phase = Some(ShardPhase::Recount);
+        supports = Vec::new();
+        payloads = Vec::new();
+    }
+    drop(recount_span);
+    stats.recount_us = start.elapsed().as_micros() as u64;
+    stats.peak_shard_bytes = resident.peak();
+
+    let completeness = match reason {
+        None => Completeness::Complete,
+        Some(reason) => Completeness::Truncated {
+            reason,
+            emitted: 0,
+            elapsed: start.elapsed(),
+        },
+    };
+    RecountTallies {
+        supports,
+        payloads,
+        verdict: MiningVerdict {
+            completeness,
+            shards: Some(stats),
+        },
+    }
+}
+
+/// Recounts a previously mined candidate lattice against `source` and
+/// streams every candidate meeting `threshold` — with exact global
+/// supports and freshly merged payloads — into `sink` in candidate-id
+/// order: [`recount`] followed by [`RecountTallies::emit_frequent`].
+///
+/// Candidates must be canonical (as produced by [`mine_into_bounded`]
+/// or [`ItemsetArena::sort_canonical`]) for the output to be canonical;
+/// the recount itself never reorders. A budget cut mid-recount yields an
+/// **empty** truncated result with [`ShardStats::truncated_phase`] =
+/// [`ShardPhase::Recount`], matching the full pipeline: partially
+/// recounted tallies are never emitted. An itemset cap tripped during
+/// emission still yields a sound prefix.
 ///
 /// # Panics
 ///
@@ -1199,61 +1355,12 @@ where
     C: ShardSource<P>,
     S: ItemsetSink<P>,
 {
-    assert!(n_threads > 0, "need at least one thread");
-    let start = Instant::now();
-    let threshold = threshold.max(1);
-    let n_shards = source.n_shards();
-    let mut stats = ShardStats {
-        n_shards,
-        candidates: candidates.len() as u64,
-        candidate_bytes: candidates.approx_bytes(),
-        ..ShardStats::default()
-    };
-    if candidates.is_empty() || source.n_rows() == 0 {
-        return (Completeness::Complete, stats);
-    }
-
-    let shared = SharedLimits::new(budget, cancel, start);
-    let shared = &shared;
-    let resident = ResidentGauge::default();
-
-    let recount_start = Instant::now();
-    let recount_span = obs::span("fpm.sharded.recount");
-    let (supports, acc, pass) =
-        recount_pass(source, candidates, n_threads, prefetch, shared, &resident);
-    stats.recount_rows = pass.rows;
-    stats.io_wait_us = pass.io_wait_us;
-    stats.streamed_bytes = pass.streamed_bytes;
-    stats.compressed_bytes = pass.compressed_bytes;
-    obs::counter("fpm.sharded.recount_rows", stats.recount_rows);
-    kernels::publish_selected(pass.kernel_words);
-    let mut emitted = 0u64;
-    if pass.cut {
-        stats.truncated_phase = Some(ShardPhase::Recount);
-    } else {
-        for id in 0..candidates.len() {
-            if supports[id] < threshold {
-                continue;
-            }
-            if !shared.admit_count() {
-                break;
-            }
-            sink.emit(candidates.items(id), supports[id], &acc[id]);
-            emitted += 1;
-        }
-    }
-    drop(recount_span);
-    stats.recount_us = recount_start.elapsed().as_micros() as u64;
-    stats.peak_shard_bytes = resident.peak();
-
-    let completeness = match shared.resolve_reason() {
-        None => Completeness::Complete,
-        Some(reason) => Completeness::Truncated {
-            reason,
-            emitted,
-            elapsed: start.elapsed(),
-        },
-    };
+    let tallies = recount(source, candidates, n_threads, prefetch, budget, cancel);
+    let completeness = tallies.emit_frequent(candidates, threshold, budget.max_itemsets, sink);
+    let stats = tallies
+        .verdict
+        .shards
+        .expect("a recount always reports its shard statistics");
     (completeness, stats)
 }
 

@@ -36,7 +36,7 @@ use crate::budget::{Budget, BudgetSink, CancelToken, Completeness};
 use crate::itemset::FrequentItemset;
 use crate::parallel;
 use crate::payload::Payload;
-use crate::sharded::{self, MemShardSource, ShardStats};
+use crate::sharded::{self, MemShardSource, RecountTallies, ShardStats};
 use crate::sink::ItemsetSink;
 use crate::transaction::TransactionDb;
 use crate::{Algorithm, MiningParams};
@@ -328,25 +328,22 @@ impl<'a, P: Payload + Send + Sync> MiningTask<'a, P> {
     }
 
     /// Recounts a previously mined candidate lattice against this task's
-    /// database and payloads, streaming each candidate that still meets
-    /// the threshold into `sink` — no mining phase runs.
+    /// database and payloads — no mining phase runs — and returns every
+    /// candidate's exact support and payload, indexed by candidate id,
+    /// with no threshold filter ([`sharded::recount`]).
     ///
     /// This is the warm path behind on-disk artifacts: the lattice
     /// depends only on the dataset and the support threshold, so
     /// re-analysis under a new payload vector (a different classifier's
-    /// labels) is exactly one streaming recount pass
-    /// ([`sharded::recount_into_bounded`]). The task's budget, cancel
-    /// token and shard count all apply; emission follows candidate-id
-    /// order, so canonical candidates yield canonical output.
+    /// labels) is exactly one streaming recount pass. The task's
+    /// deadline, cancel token, threads, shard count and prefetch depth
+    /// all apply; [`RecountTallies::emit_frequent`] applies the
+    /// threshold and the itemset cap.
     ///
     /// # Panics
     ///
     /// Panics if attached payloads don't have one entry per transaction.
-    pub fn recount_into<S: ItemsetSink<P>>(
-        &self,
-        candidates: &ItemsetArena<()>,
-        sink: &mut S,
-    ) -> MiningVerdict {
+    pub fn recount(&self, candidates: &ItemsetArena<()>) -> RecountTallies<P> {
         let owned;
         let payloads = match self.payloads {
             Some(p) => p,
@@ -362,31 +359,14 @@ impl<'a, P: Payload + Send + Sync> MiningTask<'a, P> {
         );
         let k = self.effective_shards().unwrap_or(1);
         let source = MemShardSource::new(self.db, payloads, k);
-        let (completeness, stats) = sharded::recount_into_bounded(
+        sharded::recount(
             &source,
             candidates,
-            self.params.threshold(),
             self.threads,
             self.prefetch,
             &self.budget,
             self.cancel.as_ref(),
-            sink,
-        );
-        MiningVerdict {
-            completeness,
-            shards: Some(stats),
-        }
-    }
-
-    /// [`MiningTask::recount_into`] materialized into an arena.
-    pub fn recount(&self, candidates: &ItemsetArena<()>) -> MiningOutcome<P> {
-        let mut store = ItemsetArena::new();
-        let verdict = self.recount_into(candidates, &mut store);
-        MiningOutcome {
-            store,
-            completeness: verdict.completeness,
-            shards: verdict.shards,
-        }
+        )
     }
 }
 
@@ -524,11 +504,17 @@ mod tests {
             if let Some(k) = shards {
                 task = task.shards(k);
             }
-            let outcome = task.recount(&candidates);
-            assert!(outcome.completeness.is_complete(), "shards={shards:?}");
-            let stats = outcome.shards.as_ref().expect("recount reports stats");
+            let tallies = task.recount(&candidates);
+            let mut sink = VecSink::new();
+            let completeness = tallies.emit_frequent(&candidates, 2, None, &mut sink);
+            assert!(completeness.is_complete(), "shards={shards:?}");
+            let stats = tallies
+                .verdict
+                .shards
+                .as_ref()
+                .expect("recount reports stats");
             assert_eq!(stats.shards_mined, 0, "no mining phase ran");
-            let mut got = outcome.into_itemsets();
+            let mut got = sink.found;
             sort_canonical(&mut got);
             assert_eq!(got, reference, "shards={shards:?}");
         }

@@ -318,13 +318,15 @@ proptest! {
             let token = fpm::CancelToken::new();
             token.cancel();
             let mut sink = fpm::VecSink::new();
-            let verdict = MiningTask::with_params(&db, params.clone())
+            let tallies = MiningTask::with_params(&db, params.clone())
                 .payloads(&payloads)
                 .shards(2)
                 .threads(threads)
                 .prefetch(prefetch)
                 .cancel(token)
-                .recount_into(&candidates, &mut sink);
+                .recount(&candidates);
+            tallies.emit_frequent(&candidates, min_support, None, &mut sink);
+            let verdict = tallies.verdict;
             prop_assert!(sink.found.is_empty(),
                 "t={} d={}: cut recount must emit nothing", threads, prefetch);
             if !db.is_empty() && !candidates.is_empty() {

@@ -5,11 +5,30 @@
 //! surface typed errors — never panics, never silently wrong tallies.
 
 use datasets::artifact::{self, ArenaKey, ArtifactError};
-use divexplorer::{DatasetBuilder, DiscreteDataset, DivExplorer, DivergenceReport, Metric};
+use divexplorer::{
+    DatasetBuilder, DiscreteDataset, DivExplorer, DivergenceReport, Metric, MAX_METRICS,
+};
 use fpm::{Algorithm, ItemsetArena};
 use proptest::prelude::*;
 
 const METRICS: [Metric; 2] = [Metric::FalsePositiveRate, Metric::ErrorRate];
+
+/// Every metric, for the delta recount's two passes of at most
+/// `MAX_METRICS`.
+const ALL_METRICS: [Metric; 12] = [
+    Metric::FalsePositiveRate,
+    Metric::FalseNegativeRate,
+    Metric::ErrorRate,
+    Metric::Accuracy,
+    Metric::TruePositiveRate,
+    Metric::TrueNegativeRate,
+    Metric::PositivePredictiveValue,
+    Metric::NegativePredictiveValue,
+    Metric::FalseDiscoveryRate,
+    Metric::FalseOmissionRate,
+    Metric::PositiveRate,
+    Metric::PredictedPositiveRate,
+];
 
 /// The engine matrix from the acceptance criteria: each entry configures
 /// a `DivExplorer` whose mined lattice the artifact must reproduce.
@@ -61,6 +80,14 @@ fn candidates_of(report: &DivergenceReport) -> ItemsetArena<()> {
 
 fn assert_reports_bit_identical(cold: &DivergenceReport, warm: &DivergenceReport, tag: &str) {
     assert_eq!(cold.len(), warm.len(), "{tag}: pattern count");
+    assert_eq!(cold.metrics(), warm.metrics(), "{tag}: metrics");
+    for m in 0..cold.metrics().len() {
+        assert_eq!(
+            cold.dataset_rate(m).to_bits(),
+            warm.dataset_rate(m).to_bits(),
+            "{tag}: dataset rate of metric {m}"
+        );
+    }
     for idx in 0..cold.len() {
         let items = cold.items(idx);
         let widx = warm
@@ -71,7 +98,12 @@ fn assert_reports_bit_identical(cold: &DivergenceReport, warm: &DivergenceReport
             warm.support(widx),
             "{tag}: support on {items:?}"
         );
-        for m in 0..METRICS.len() {
+        assert_eq!(
+            cold.counts(idx),
+            warm.counts(widx),
+            "{tag}: per-metric counts on {items:?}"
+        );
+        for m in 0..cold.metrics().len() {
             assert_eq!(
                 cold.divergence(idx, m).to_bits(),
                 warm.divergence(widx, m).to_bits(),
@@ -131,7 +163,11 @@ proptest! {
 
     /// Recounting the persisted lattice under a *different* prediction
     /// vector matches mining from scratch under that vector — the
-    /// recount-not-remine invariant that makes artifacts reusable.
+    /// recount-not-remine invariant that makes artifacts reusable. The
+    /// delta path agrees too: base tallies under `u`, moved to `u2` by
+    /// recounting only the rows that differ, derive every metric exactly
+    /// as a cold `explore` under `u2` does, for random, empty and
+    /// every-row flip sets, threads {1, 2} × shards {None, 3}.
     #[test]
     fn recounting_under_new_predictions_matches_a_fresh_mine(
         (data, v, u) in random_input(),
@@ -149,6 +185,36 @@ proptest! {
         let warm = explorer.from_artifact(&data, &candidates, &v, &u2, &METRICS).unwrap();
         let fresh = explorer.explore(&data, &v, &u2, &METRICS).unwrap();
         assert_reports_bit_identical(&fresh, &warm, "new-u recount");
+
+        let every_row: Vec<bool> = u.iter().map(|&b| !b).collect();
+        for (flips, target) in [("random", &u2), ("empty", &u), ("every row", &every_row)] {
+            let differing = u.iter().zip(target.iter()).filter(|(a, b)| a != b).count();
+            for threads in [1, 2] {
+                for shards in [None, Some(3)] {
+                    let mut knobs = explorer.clone().with_threads(threads);
+                    if let Some(k) = shards {
+                        knobs = knobs.with_shards(k);
+                    }
+                    let base = knobs.tally_lattice(&data, &candidates, &v, &u).unwrap();
+                    let delta = knobs
+                        .retally(&data, &candidates, &base, &v, &u, target)
+                        .unwrap();
+                    prop_assert!(delta.completeness().is_complete());
+                    prop_assert_eq!(
+                        delta.shard_stats().map_or(0, |s| s.recount_rows) as usize,
+                        differing
+                    );
+                    for pass in ALL_METRICS.chunks(MAX_METRICS) {
+                        let tag = format!("{flips} flips, t={threads} k={shards:?}, {pass:?}");
+                        let derived = knobs
+                            .report_from_tallies(&data, &candidates, &delta, pass)
+                            .unwrap();
+                        let cold = explorer.explore(&data, &v, target, pass).unwrap();
+                        assert_reports_bit_identical(&cold, &derived, &tag);
+                    }
+                }
+            }
+        }
     }
 
     /// Any single flipped bit anywhere in an artifact is detected as a
