@@ -1,23 +1,22 @@
 //! Counting-engine benchmark: merge-based counting vs class-mask
 //! popcounts on a dense synthetic workload.
 //!
-//! Mines the same `(T, F, ⊥)`-carrying lattice with merge-based Eclat
-//! and the dense popcount engine (word-AND supports *and* payload
-//! counters), asserts the two results bit-identical — itemsets, supports,
-//! and every outcome tally — and requires the popcount engine to be at
-//! least 2× faster than merge-based Eclat.
+//! Mines the same lattice with merge-based Eclat and the dense popcount
+//! engine (word-AND supports *and* payload counters) over the payload
+//! `explore` mines: each row's confusion cell, three class masks. Asserts
+//! the two results bit-identical — itemsets, supports and every cell
+//! tally — and requires the popcount engine to be at least 2× faster
+//! than merge-based Eclat.
 //!
 //! `--smoke` shrinks the dataset for CI and skips the speedup floor
 //! (timing on shared runners is noise); correctness is always asserted.
 
 use bench::{banner, telemetry};
-use divexplorer::{Metric, MultiCounts};
+use divexplorer::CountedCells;
 use fpm::bitset::Bitset;
 use fpm::{Algorithm, ClassMasks, Kernel, MiningParams};
 use std::hint::black_box;
 use std::time::Instant;
-
-const METRICS: [Metric; 2] = [Metric::FalsePositiveRate, Metric::FalseNegativeRate];
 
 /// Best-of-`reps` wall clock of `f`, microseconds (floored at 1 so
 /// ratios stay finite on very fast runs).
@@ -36,15 +35,13 @@ fn main() {
     let n = if smoke { 2_000 } else { 50_000 };
     banner(
         "Counters",
-        "Merge-based vs popcount (T, F, \u{22a5}) counting (artificial dataset)",
+        "Merge-based vs popcount confusion-cell counting (artificial dataset)",
     );
     let d = datasets::artificial::generate(n, 7);
     let db = d.data.to_transactions();
-    let payloads: Vec<MultiCounts> = (0..db.len())
-        .map(|r| {
-            let outcomes: Vec<_> = METRICS.iter().map(|m| m.outcome(d.v[r], d.u[r])).collect();
-            MultiCounts::from_outcomes(&outcomes)
-        })
+    // The payload `explore` mines: each row's confusion cell.
+    let payloads: Vec<CountedCells> = (0..db.len())
+        .map(|r| CountedCells::of_row(d.v[r], d.u[r]))
         .collect();
     let params = MiningParams::with_min_support_fraction(0.02, db.len());
 
@@ -74,7 +71,7 @@ fn main() {
         timings.push((algo, best_us));
     }
 
-    // (T, F, ⊥) counters must be bit-identical across both engines.
+    // Cell counters must be bit-identical across both engines.
     let (_, reference) = &results[0];
     let (algo, arena) = &results[1];
     assert_eq!(
@@ -91,7 +88,7 @@ fn main() {
         );
         assert_eq!(
             got.payload, want.payload,
-            "{algo}: (T, F, \u{22a5}) tallies differ on {:?}",
+            "{algo}: cell tallies differ on {:?}",
             want.items
         );
     }
@@ -111,13 +108,13 @@ fn main() {
 
     // ── Kernel microbenchmark: counting cost per density regime ──
     //
-    // The same (T, F, ⊥) tally measured three ways, matching the three
+    // The same cell tally measured three ways, matching the three
     // tidset representations the engines hold:
     //   dense bitset — per-class AND+popcount loop vs the fused
     //                  multi-mask streaming pass, under every kernel;
     //   tid-list     — per-tid mask probes (`count_sparse`);
     //   diffset      — the dEclat subtraction (`subtract_sparse`).
-    let masks = ClassMasks::build(&payloads).expect("MultiCounts lowers to class masks");
+    let masks = ClassMasks::build(&payloads).expect("CountedCells lowers to class masks");
     let n_classes = masks.n_classes();
     let mut tids = Bitset::zeros(db.len());
     for t in (0..db.len()).step_by(3) {

@@ -1,10 +1,10 @@
 //! Sharded two-pass mining benchmark: partitioned mining vs the dense
 //! one-pass engine on a synthetic workload.
 //!
-//! Mines the same `(T, F, ⊥)`-carrying lattice with the dense popcount
+//! Mines the same confusion-cell-carrying lattice with the dense popcount
 //! engine and with the sharded engine at K ∈ {1, 2, 7} row shards,
 //! asserts every sharded run bit-identical to dense — itemsets,
-//! supports, and every outcome tally — and records the sharded engine's
+//! supports, and every cell tally — and records the sharded engine's
 //! memory model (peak resident shard bytes + candidate-arena bytes) and
 //! per-phase wall clock in `BENCH_sharded.json`.
 //!
@@ -22,12 +22,11 @@
 
 use bench::{banner, telemetry};
 use datasets::artifact::{decode_shards, encode_shards};
-use divexplorer::{Metric, MultiCounts};
+use divexplorer::CountedCells;
 use fpm::sharded::recount_into_bounded;
 use fpm::{Algorithm, Budget, MiningParams, MiningTask, ShardSource, VecSink};
 use std::time::Instant;
 
-const METRICS: [Metric; 2] = [Metric::FalsePositiveRate, Metric::FalseNegativeRate];
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
 
 fn main() {
@@ -39,11 +38,9 @@ fn main() {
     );
     let d = datasets::artificial::generate(n, 7);
     let db = d.data.to_transactions();
-    let payloads: Vec<MultiCounts> = (0..db.len())
-        .map(|r| {
-            let outcomes: Vec<_> = METRICS.iter().map(|m| m.outcome(d.v[r], d.u[r])).collect();
-            MultiCounts::from_outcomes(&outcomes)
-        })
+    // The payload `explore` mines: each row's confusion cell.
+    let payloads: Vec<CountedCells> = (0..db.len())
+        .map(|r| CountedCells::of_row(d.v[r], d.u[r]))
         .collect();
     let params = MiningParams::with_min_support_fraction(0.02, db.len());
     let threshold = params.min_support_count;
@@ -72,7 +69,7 @@ fn main() {
         let mut arena = outcome.store;
         arena.sort_canonical();
 
-        // (T, F, ⊥) counters must be bit-identical to the dense run.
+        // Cell counters must be bit-identical to the dense run.
         assert!(outcome.completeness.is_complete(), "K={k}: truncated");
         assert_eq!(arena.len(), reference.len(), "K={k}: itemset count");
         for (got, want) in arena.iter().zip(reference.iter()) {
@@ -84,7 +81,7 @@ fn main() {
             );
             assert_eq!(
                 got.payload, want.payload,
-                "K={k}: (T, F, \u{22a5}) tallies differ on {:?}",
+                "K={k}: cell tallies differ on {:?}",
                 want.items
             );
         }

@@ -502,21 +502,27 @@ fn parse_engine(s: &str) -> Result<fpm::Algorithm, String> {
 }
 
 fn parse_metrics(s: &str) -> Result<Vec<Metric>, String> {
-    s.split(',')
-        .map(|name| match name.trim().to_ascii_uppercase().as_str() {
-            "FPR" => Ok(Metric::FalsePositiveRate),
-            "FNR" => Ok(Metric::FalseNegativeRate),
-            "ER" => Ok(Metric::ErrorRate),
-            "ACC" => Ok(Metric::Accuracy),
-            "TPR" => Ok(Metric::TruePositiveRate),
-            "TNR" => Ok(Metric::TrueNegativeRate),
-            "PPV" => Ok(Metric::PositivePredictiveValue),
-            "NPV" => Ok(Metric::NegativePredictiveValue),
-            "FDR" => Ok(Metric::FalseDiscoveryRate),
-            "FOR" => Ok(Metric::FalseOmissionRate),
-            other => Err(format!("unknown metric '{other}'")),
-        })
-        .collect()
+    let mut metrics: Vec<Metric> = Vec::new();
+    for name in s.split(',') {
+        let metric = match name.trim().to_ascii_uppercase().as_str() {
+            "FPR" => Metric::FalsePositiveRate,
+            "FNR" => Metric::FalseNegativeRate,
+            "ER" => Metric::ErrorRate,
+            "ACC" => Metric::Accuracy,
+            "TPR" => Metric::TruePositiveRate,
+            "TNR" => Metric::TrueNegativeRate,
+            "PPV" => Metric::PositivePredictiveValue,
+            "NPV" => Metric::NegativePredictiveValue,
+            "FDR" => Metric::FalseDiscoveryRate,
+            "FOR" => Metric::FalseOmissionRate,
+            other => return Err(format!("unknown metric '{other}'")),
+        };
+        if metrics.contains(&metric) {
+            return Err(format!("metric {metric} named twice"));
+        }
+        metrics.push(metric);
+    }
+    Ok(metrics)
 }
 
 fn parse_itemset_spec(s: &str) -> Result<Vec<(String, String)>, CliError> {
@@ -1023,6 +1029,26 @@ age,grp,y,yhat
         assert!(first_row.contains("grp=a"), "got: {first_row}");
         assert!(first_row.contains("Δ=+0.500"), "got: {first_row}");
         assert!(out.contains("Δ=+0.250"));
+    }
+
+    #[test]
+    fn every_metric_name_explores_in_one_pass_like_its_own_run() {
+        const NAMES: [&str; 10] = [
+            "FPR", "FNR", "ER", "ACC", "TPR", "TNR", "PPV", "NPV", "FDR", "FOR",
+        ];
+        let explore = |metrics: &str| {
+            let mut argv = base_args("explore");
+            argv.extend(["--metric".to_string(), metrics.to_string()]);
+            let args = Args::parse(argv).unwrap();
+            let mut out = String::new();
+            let status = run_with_content(&args, CSV, &mut out).unwrap();
+            assert_eq!(status, RunStatus::Complete, "{metrics}");
+            out
+        };
+        let all = explore(&NAMES.join(","));
+        assert_eq!(all.matches("Δ_").count(), NAMES.len(), "{all}");
+        let each: String = NAMES.iter().map(|name| explore(name)).collect();
+        assert_eq!(all, each, "each block equals its metric's own run");
     }
 
     #[test]

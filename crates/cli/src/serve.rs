@@ -1283,13 +1283,14 @@ b,y,0,1
     /// (knob, command-line value, request JSON value): each value breaks
     /// the knob's one rule. JSON cannot spell NaN, so the request side
     /// uses a string where the command line uses a non-number.
-    const BAD_KNOBS: [(&str, &str, &str); 16] = [
+    const BAD_KNOBS: [(&str, &str, &str); 17] = [
         ("support", "0", "0"),
         ("support", "1.5", "1.5"),
         ("support", "-0.25", "-0.25"),
         ("support", "nan", r#""0.25""#),
         ("engine", "apriori", r#""apriori""#),
         ("metric", "NOPE", r#""NOPE""#),
+        ("metric", "FPR,FPR", r#""FPR,FPR""#),
         ("top", "-1", "-1"),
         ("top", "2.5", "2.5"),
         ("bins", "0", "0"),
@@ -1338,6 +1339,50 @@ b,y,0,1
         assert_eq!(stats["datasets"].as_u64(), Some(1), "{stats:?}");
         assert_eq!(stats["cached_lattices"].as_u64(), Some(0), "{stats:?}");
         assert_eq!(stats["panics"].as_u64(), Some(0), "{stats:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_duplicate_metric_fails_before_a_cached_lattice_is_tallied() {
+        let dir = temp_dir("duplicate-metric");
+        let csv_path = dir.join("toy.csv");
+        std::fs::write(&csv_path, CSV).unwrap();
+        let query = r#"{"op":"query","name":"toy","support":0.25,"top":3"#;
+        let responses = drive(
+            &serve_args(""),
+            &[
+                &register_line(&csv_path),
+                r#"{"op":"mine","name":"toy","support":0.25}"#,
+                &format!(r#"{query},"metric":"FPR,FPR"}}"#),
+                r#"{"op":"stats"}"#,
+                r#"{"op":"trace","req":3}"#,
+                &format!("{query}}}"),
+                r#"{"op":"trace","req":6}"#,
+            ],
+        );
+        assert_eq!(
+            responses[2]["ok"].as_bool(),
+            Some(false),
+            "{:?}",
+            responses[2]
+        );
+        let error = responses[2]["error"].as_str().unwrap();
+        assert!(error.contains("'metric'"), "{error}");
+        assert_eq!(responses[3]["cached_lattices"].as_u64(), Some(1));
+        // The malformed request fails fast: its trace holds the request's
+        // own span and no layer of the recount, and the first valid query
+        // of the lattice still tallies its base.
+        let failed = responses[4]["body"].as_str().unwrap();
+        assert!(failed.contains(r#""span":"serve.request""#), "{failed}");
+        assert!(!failed.contains(r#""span":"explore.tally""#), "{failed}");
+        assert_eq!(
+            responses[5]["ok"].as_bool(),
+            Some(true),
+            "{:?}",
+            responses[5]
+        );
+        let valid = responses[6]["body"].as_str().unwrap();
+        assert!(valid.contains(r#""span":"explore.tally""#), "{valid}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -24,10 +24,10 @@ use divexplorer::item::{for_each_subset, with, without};
 use divexplorer::pruning::prune_redundant;
 use divexplorer::shapley::{item_contributions, ShapleyError};
 use divexplorer::{
-    DivExplorer, DivergenceFilterSink, DivergenceReport, ItemId, Metric, MultiCounts, SortBy,
+    CountedCells, DivExplorer, DivergenceFilterSink, DivergenceReport, ItemId, Metric, SortBy,
 };
 use fpm::closed::{condensation_flags_arena, CondensationFlags};
-use fpm::{Budget, ItemsetArena, Payload, Subset};
+use fpm::{Budget, ItemsetArena, Subset};
 
 const SEED: u64 = 42;
 const METRICS: [Metric; 2] = [Metric::FalsePositiveRate, Metric::FalseNegativeRate];
@@ -45,12 +45,13 @@ fn explore(id: DatasetId, support: f64) -> DivergenceReport {
 /// filtering during mining: a report that is not downward-closed.
 fn explore_filtered(id: DatasetId, support: f64, threshold: f64) -> DivergenceReport {
     let t = id.generate(SEED);
-    let mut dataset_counts = MultiCounts::empty(METRICS.len());
-    for (&vi, &ui) in t.v.iter().zip(&t.u) {
-        let outcomes = METRICS.map(|metric| metric.outcome(vi, ui));
-        dataset_counts.merge(&MultiCounts::from_outcomes(&outcomes));
-    }
-    let mut sink = DivergenceFilterSink::new(ItemsetArena::new(), dataset_counts, threshold);
+    let mut sink = DivergenceFilterSink::new(
+        ItemsetArena::new(),
+        &METRICS,
+        t.v.len(),
+        CountedCells::of_rows(&t.v, &t.u),
+        threshold,
+    );
     let stats = DivExplorer::new(support)
         .explore_into(&t.data, &t.v, &t.u, &METRICS, &mut sink)
         .unwrap();

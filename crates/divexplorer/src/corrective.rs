@@ -45,8 +45,8 @@ struct Pair {
 impl Pair {
     /// Welch t-statistic between the base and extended posterior rates.
     fn t(&self, report: &DivergenceReport, m: usize) -> f64 {
-        let p_base = report.counts(self.base).get(m).posterior();
-        let p_ext = report.counts(self.ext).get(m).posterior();
+        let p_base = report.metric_counts(self.base, m).posterior();
+        let p_ext = report.metric_counts(self.ext, m).posterior();
         p_base.welch_t(&p_ext)
     }
 

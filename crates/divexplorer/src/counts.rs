@@ -1,17 +1,16 @@
-//! Outcome tallies `(T, F, ⊥)` carried through mining as [`fpm::Payload`]s,
-//! and the confusion cells every metric's tallies derive from.
+//! The confusion cells every pass tallies, and the outcome tallies
+//! `(T, F, ⊥)` each metric derives from them.
+//!
+//! Every [`Metric`] is an outcome function of `(v, u)` (Definition 3.2),
+//! so the four confusion cells of a row set fix every metric's tallies.
+//! Mining and the recount therefore fold one payload, [`CountedCells`],
+//! whatever the metric list, and a metric's `(T, F, ⊥)` is derived from
+//! the cells when it is read.
 
 use crate::stats::BetaPosterior;
 use crate::{Metric, Outcome};
 use fpm::MaskSpec;
 use serde::{Deserialize, Serialize};
-
-/// Maximum number of metrics that one mining pass can tally simultaneously.
-///
-/// Algorithm 1 of the paper extends "straightforwardly" to multiple outcome
-/// functions; we bound the number so the per-FP-tree-node payload stays a
-/// fixed-size value (no heap allocation on the mining hot path).
-pub const MAX_METRICS: usize = 8;
 
 /// Outcome tallies of one instance set: how many instances had outcome `T`,
 /// `F`, and `⊥` under a given outcome function.
@@ -54,7 +53,7 @@ impl OutcomeCounts {
         if self.n() == 0 {
             f64::NAN
         } else {
-            self.t as f64 / self.n() as f64
+            count_as_f64(self.t) / count_as_f64(self.n())
         }
     }
 
@@ -62,8 +61,15 @@ impl OutcomeCounts {
     /// starting from the uniform prior (§3.3). Well-defined even when
     /// `k⁺ + k⁻ = 0`.
     pub fn posterior(&self) -> BetaPosterior {
-        BetaPosterior::new(self.t as f64 + 1.0, self.f as f64 + 1.0)
+        BetaPosterior::new(count_as_f64(self.t) + 1.0, count_as_f64(self.f) + 1.0)
     }
+}
+
+/// `x as f64`, built from the bits of `2⁵² + x` into a whole register:
+/// the scalar conversion writes half of one and so waits on its last
+/// writer, in a loop over patterns the previous pattern's division.
+fn count_as_f64(x: u32) -> f64 {
+    f64::from_bits(0x4330_0000_0000_0000 | u64::from(x)) - 4_503_599_627_370_496.0
 }
 
 impl fpm::Payload for OutcomeCounts {
@@ -78,8 +84,7 @@ impl fpm::Payload for OutcomeCounts {
 
     /// Lowers to three counting classes — `T`, `F`, `⊥` — when every
     /// per-transaction tally is a membership indicator (each field 0 or
-    /// 1), which is exactly the [`OutcomeCounts::from_outcome`] shape the
-    /// explorer fuses into mining.
+    /// 1), the [`OutcomeCounts::from_outcome`] shape.
     fn mask_spec(payloads: &[Self]) -> Option<MaskSpec> {
         payloads
             .iter()
@@ -106,39 +111,26 @@ impl fpm::Payload for OutcomeCounts {
     }
 }
 
-/// A fixed-capacity stack of [`OutcomeCounts`], one per analyzed metric.
-///
-/// This is the payload DivExplorer fuses into mining when several metrics
-/// are explored in one pass. Capacity is [`MAX_METRICS`]; the live prefix
-/// length is uniform across all payloads of a run.
+/// The `(T, F, ⊥)` tallies of a report's metrics over one row set, in the
+/// report's metric order: a value derived from the row set's cells
+/// ([`crate::DivergenceReport::counts`]), never tallied. It has room for
+/// every [`Metric`], so building one allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultiCounts {
-    counts: [OutcomeCounts; MAX_METRICS],
+    counts: [OutcomeCounts; Metric::ALL.len()],
     len: u8,
 }
 
 impl MultiCounts {
-    /// An all-zero tally for `n_metrics` metrics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_metrics > MAX_METRICS`.
-    pub fn empty(n_metrics: usize) -> Self {
-        assert!(
-            n_metrics <= MAX_METRICS,
-            "at most {MAX_METRICS} metrics per pass"
-        );
-        MultiCounts {
-            counts: [OutcomeCounts::default(); MAX_METRICS],
-            len: n_metrics as u8,
-        }
-    }
-
-    /// Tally of a single instance under each metric's outcome.
-    pub fn from_outcomes(outcomes: &[Outcome]) -> Self {
-        let mut mc = Self::empty(outcomes.len());
-        for (i, &o) in outcomes.iter().enumerate() {
-            mc.counts[i] = OutcomeCounts::from_outcome(o);
+    /// The tallies of each of `metrics` over a row set of `support` rows
+    /// whose counted cells are `cells`.
+    pub(crate) fn derive(support: u64, cells: &CountedCells, metrics: &[MetricCells]) -> Self {
+        let mut mc = MultiCounts {
+            counts: [OutcomeCounts::default(); Metric::ALL.len()],
+            len: metrics.len() as u8,
+        };
+        for (slot, metric) in mc.counts.iter_mut().zip(metrics) {
+            *slot = metric.counts(support, cells);
         }
         mc
     }
@@ -163,196 +155,55 @@ impl MultiCounts {
     pub fn as_slice(&self) -> &[OutcomeCounts] {
         &self.counts[..self.len()]
     }
-
-    /// The tallies of each of `metrics` over a row set whose confusion
-    /// matrix is `cells`: each metric's `(T, F, ⊥)` are sums of cells
-    /// through [`Metric::outcome`], so they equal the per-row tallies
-    /// merged over the same rows, exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `metrics.len() > MAX_METRICS`.
-    pub(crate) fn derive(cells: &ConfusionCells, metrics: &[Metric]) -> Self {
-        let mut mc = Self::empty(metrics.len());
-        for (slot, &metric) in mc.counts.iter_mut().zip(metrics) {
-            *slot = cells.outcome_counts(metric);
-        }
-        mc
-    }
 }
 
-impl fpm::Payload for MultiCounts {
-    fn zero() -> Self {
-        // The zero of the monoid adapts its arity on first merge.
-        MultiCounts {
-            counts: [OutcomeCounts::default(); MAX_METRICS],
-            len: 0,
-        }
-    }
-    fn merge(&mut self, other: &Self) {
-        if self.len == 0 {
-            self.len = other.len;
-        }
-        debug_assert!(other.len == 0 || other.len == self.len);
-        for i in 0..self.len as usize {
-            fpm::Payload::merge(&mut self.counts[i], &other.counts[i]);
-        }
-    }
+/// The `(v, u)` of each confusion cell: TP, FP and FN in [`CountedCells`]
+/// order, then TN.
+const CELLS: [(bool, bool); 4] = [(true, true), (false, true), (true, false), (false, false)];
 
-    /// Lowers to `3 × n_metrics` classes (metric `m`'s `T`/`F`/`⊥` are
-    /// classes `3m`, `3m+1`, `3m+2`) when the run's payloads share one
-    /// arity and every per-transaction tally is a membership indicator.
-    fn mask_spec(payloads: &[Self]) -> Option<MaskSpec> {
-        let len = payloads.first().map_or(0, |p| p.len());
-        let uniform_indicators = payloads.iter().all(|p| {
-            p.len() == len
-                && p.as_slice()
-                    .iter()
-                    .all(|c| c.t <= 1 && c.f <= 1 && c.bot <= 1)
-        });
-        uniform_indicators.then(|| MaskSpec::leaf(3 * len))
-    }
-    fn encode_classes(&self, _spec: &MaskSpec, set: &mut dyn FnMut(usize)) {
-        for (m, c) in self.as_slice().iter().enumerate() {
-            if c.t == 1 {
-                set(3 * m);
-            }
-            if c.f == 1 {
-                set(3 * m + 1);
-            }
-            if c.bot == 1 {
-                set(3 * m + 2);
-            }
-        }
-    }
-    fn decode_classes(spec: &MaskSpec, counts: &[u64]) -> Self {
-        let len = spec.n_classes() / 3;
-        let mut mc = MultiCounts::empty(len);
-        for m in 0..len {
-            mc.counts[m] = OutcomeCounts {
-                t: counts[3 * m] as u32,
-                f: counts[3 * m + 1] as u32,
-                bot: counts[3 * m + 2] as u32,
-            };
-        }
-        mc
-    }
-}
-
-/// The confusion matrix of one row set: how many of its rows fall in
-/// each (ground truth `v`, prediction `u`) cell.
-///
-/// Every [`Metric`] is an outcome function of `(v, u)` (Definition 3.2),
-/// so these four counts determine every metric's `(T, F, ⊥)` tallies
-/// ([`ConfusionCells::outcome_counts`], [`MultiCounts::derive`]). This
-/// is what the recount path tallies: 16 bytes per row set, whatever the
-/// metric count.
+/// The payload every pass tallies: the TP, FP and FN cells of a row set,
+/// three class masks whatever the metric count. TN is the row set's
+/// support minus the other three. Each metric's `(T, F, ⊥)` is derived
+/// from it ([`CountedCells::outcome_counts`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct ConfusionCells {
-    /// Rows with `v = 1, u = 1`.
-    true_pos: u32,
-    /// Rows with `v = 0, u = 1`.
-    false_pos: u32,
-    /// Rows with `v = 1, u = 0`.
-    false_neg: u32,
-    /// Rows with `v = 0, u = 0`.
-    true_neg: u32,
-}
-
-impl ConfusionCells {
-    /// Counts one more row with ground truth `v` and prediction `u`.
-    pub(crate) fn add_row(&mut self, v: bool, u: bool) {
-        *self.cell_mut(v, u) += 1;
-    }
-
-    /// The number of rows in cell `(v, u)`.
-    fn cell(&self, v: bool, u: bool) -> u32 {
-        match (v, u) {
-            (true, true) => self.true_pos,
-            (false, true) => self.false_pos,
-            (true, false) => self.false_neg,
-            (false, false) => self.true_neg,
-        }
-    }
-
-    fn cell_mut(&mut self, v: bool, u: bool) -> &mut u32 {
-        match (v, u) {
-            (true, true) => &mut self.true_pos,
-            (false, true) => &mut self.false_pos,
-            (true, false) => &mut self.false_neg,
-            (false, false) => &mut self.true_neg,
-        }
-    }
-
-    /// Rows in the set (the sum of the four cells).
-    pub(crate) fn support(&self) -> u64 {
-        self.true_pos as u64 + self.false_pos as u64 + self.false_neg as u64 + self.true_neg as u64
-    }
-
-    /// `metric`'s `(T, F, ⊥)` tallies over the row set: each cell's rows
-    /// land in the bucket of `metric.outcome(v, u)`.
-    pub(crate) fn outcome_counts(&self, metric: Metric) -> OutcomeCounts {
-        let mut counts = OutcomeCounts::default();
-        for v in [false, true] {
-            for u in [false, true] {
-                let n = self.cell(v, u);
-                match metric.outcome(v, u) {
-                    Outcome::T => counts.t += n,
-                    Outcome::F => counts.f += n,
-                    Outcome::Bot => counts.bot += n,
-                }
-            }
-        }
-        counts
-    }
-
-    /// The cells after the rows of `moved` flipped their prediction.
-    ///
-    /// `moved` counts those rows in their *new* cells. A row now in
-    /// `(v, u)` was in `(v, ¬u)`, so rows move between TP and FN and
-    /// between FP and TN. Each cell first loses the rows that left it —
-    /// they were counted in it, so the subtraction cannot underflow —
-    /// and then gains the rows that entered it.
-    pub(crate) fn with_moved_rows(&self, moved: &ConfusionCells) -> Self {
-        ConfusionCells {
-            true_pos: self.true_pos - moved.false_neg + moved.true_pos,
-            false_pos: self.false_pos - moved.true_neg + moved.false_pos,
-            false_neg: self.false_neg - moved.true_pos + moved.false_neg,
-            true_neg: self.true_neg - moved.false_pos + moved.true_neg,
-        }
-    }
-
-    /// The cells of a row set with `support` rows whose TP, FP and FN
-    /// cells the recount counted as `counted`; TN is the rest.
-    pub(crate) fn from_counted(support: u64, counted: &CountedCells) -> Self {
-        let [true_pos, false_pos, false_neg] = counted.0;
-        ConfusionCells {
-            true_pos,
-            false_pos,
-            false_neg,
-            true_neg: (support - true_pos as u64 - false_pos as u64 - false_neg as u64) as u32,
-        }
-    }
-}
-
-/// The recount payload behind [`ConfusionCells`]: the TP, FP and FN
-/// cells of a row set. It lowers to three class masks whatever the
-/// metric count; TN is never counted, since it is the support minus the
-/// other three ([`ConfusionCells::from_counted`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct CountedCells([u32; 3]);
+pub struct CountedCells([u32; 3]);
 
 impl CountedCells {
-    /// The payload of one row: the indicator of its cell, all zero for TN.
-    pub(crate) fn of_row(v: bool, u: bool) -> Self {
+    /// The payload of one row with ground truth `v` and prediction `u`:
+    /// the indicator of its cell, all zero for TN.
+    pub fn of_row(v: bool, u: bool) -> Self {
         let mut cells = [0; 3];
-        match (v, u) {
-            (true, true) => cells[0] = 1,
-            (false, true) => cells[1] = 1,
-            (true, false) => cells[2] = 1,
-            (false, false) => {}
+        if let Some(cell) = CELLS[..3].iter().position(|&c| c == (v, u)) {
+            cells[cell] = 1;
         }
         CountedCells(cells)
+    }
+
+    /// The cells of all the rows together: row `r` has ground truth
+    /// `v[r]` and prediction `u[r]`.
+    pub fn of_rows(v: &[bool], u: &[bool]) -> Self {
+        assert_eq!(v.len(), u.len(), "one prediction per row");
+        let mut cells = CountedCells::default();
+        for (&v, &u) in v.iter().zip(u) {
+            fpm::Payload::merge(&mut cells, &CountedCells::of_row(v, u));
+        }
+        cells
+    }
+
+    /// `metric`'s `(T, F, ⊥)` tallies over a row set of `support` rows
+    /// whose counted cells are `self`: each cell's rows land in the bucket
+    /// of `metric.outcome(v, u)`.
+    pub fn outcome_counts(&self, support: u64, metric: Metric) -> OutcomeCounts {
+        MetricCells::of(metric).counts(support, self)
+    }
+
+    /// The four cells of a row set with `support` rows, in [`CELLS`]
+    /// order.
+    #[inline]
+    fn with_true_neg(&self, support: u64) -> [u32; 4] {
+        let [true_pos, false_pos, false_neg] = self.0;
+        let true_neg = support as u32 - true_pos - false_pos - false_neg;
+        [true_pos, false_pos, false_neg, true_neg]
     }
 }
 
@@ -386,49 +237,150 @@ impl fpm::Payload for CountedCells {
     }
 }
 
+/// Which cells one metric's `T` and `F` outcomes cover, resolved once from
+/// [`Metric::outcome`] as a mask per cell: a lookup adds masked cells,
+/// with no branch and no outcome function evaluated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MetricCells {
+    t: [u32; 4],
+    f: [u32; 4],
+}
+
+impl MetricCells {
+    /// Each of `metrics` resolved, with its tallies over a dataset of
+    /// `n_rows` rows whose cells are `dataset`.
+    pub(crate) fn with_dataset(
+        metrics: &[Metric],
+        n_rows: usize,
+        dataset: &CountedCells,
+    ) -> Vec<(MetricCells, OutcomeCounts)> {
+        metrics
+            .iter()
+            .map(|&m| {
+                let cells = MetricCells::of(m);
+                (cells, cells.counts(n_rows as u64, dataset))
+            })
+            .collect()
+    }
+
+    pub(crate) fn of(metric: Metric) -> Self {
+        let mask = |o| CELLS.map(|(v, u)| u32::MAX * u32::from(metric.outcome(v, u) == o));
+        MetricCells {
+            t: mask(Outcome::T),
+            f: mask(Outcome::F),
+        }
+    }
+
+    /// The metric's `(T, F, ⊥)` over a row set of `support` rows whose
+    /// counted cells are `cells`.
+    #[inline]
+    pub(crate) fn counts(&self, support: u64, cells: &CountedCells) -> OutcomeCounts {
+        let c = cells.with_true_neg(support);
+        let sum = |m: [u32; 4]| (c[0] & m[0]) + (c[1] & m[1]) + (c[2] & m[2]) + (c[3] & m[3]);
+        let (t, f) = (sum(self.t), sum(self.f));
+        OutcomeCounts {
+            t,
+            f,
+            bot: support as u32 - t - f,
+        }
+    }
+}
+
+/// The confusion matrix of one row set, TN included: what the recount
+/// keeps per candidate ([`crate::LatticeTallies`], 16 bytes), since moving
+/// rows to new predictions moves them between TN and FP.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ConfusionCells {
+    /// Rows with `v = 1, u = 1`.
+    true_pos: u32,
+    /// Rows with `v = 0, u = 1`.
+    false_pos: u32,
+    /// Rows with `v = 1, u = 0`.
+    false_neg: u32,
+    /// Rows with `v = 0, u = 0`.
+    true_neg: u32,
+}
+
+impl ConfusionCells {
+    /// Rows in the set (the sum of the four cells).
+    pub(crate) fn support(&self) -> u64 {
+        self.true_pos as u64 + self.false_pos as u64 + self.false_neg as u64 + self.true_neg as u64
+    }
+
+    /// The cells the payload counts; TN is what they leave of
+    /// [`ConfusionCells::support`].
+    pub(crate) fn counted(&self) -> CountedCells {
+        CountedCells([self.true_pos, self.false_pos, self.false_neg])
+    }
+
+    /// The cells after the rows of `moved` flipped their prediction.
+    ///
+    /// `moved` counts those rows in their *new* cells. A row now in
+    /// `(v, u)` was in `(v, ¬u)`, so rows move between TP and FN and
+    /// between FP and TN. Each cell first loses the rows that left it —
+    /// they were counted in it, so the subtraction cannot underflow —
+    /// and then gains the rows that entered it.
+    pub(crate) fn with_moved_rows(&self, moved: &ConfusionCells) -> Self {
+        ConfusionCells {
+            true_pos: self.true_pos - moved.false_neg + moved.true_pos,
+            false_pos: self.false_pos - moved.true_neg + moved.false_pos,
+            false_neg: self.false_neg - moved.true_pos + moved.false_neg,
+            true_neg: self.true_neg - moved.false_pos + moved.true_neg,
+        }
+    }
+
+    /// The cells of a row set with `support` rows whose TP, FP and FN
+    /// cells the recount counted as `counted`; TN is the rest.
+    pub(crate) fn from_counted(support: u64, counted: &CountedCells) -> Self {
+        let [true_pos, false_pos, false_neg, true_neg] = counted.with_true_neg(support);
+        ConfusionCells {
+            true_pos,
+            false_pos,
+            false_neg,
+            true_neg,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use fpm::Payload;
 
+    /// The cells of `rows`, with their count.
+    fn cells_of(rows: &[(bool, bool)]) -> (u64, CountedCells) {
+        let mut cells = CountedCells::zero();
+        for &(v, u) in rows {
+            cells.merge(&CountedCells::of_row(v, u));
+        }
+        (rows.len() as u64, cells)
+    }
+
     #[test]
     fn derived_counts_match_the_per_row_outcome_for_every_metric_and_cell() {
-        const ALL: [Metric; 12] = [
-            Metric::FalsePositiveRate,
-            Metric::FalseNegativeRate,
-            Metric::ErrorRate,
-            Metric::Accuracy,
-            Metric::TruePositiveRate,
-            Metric::TrueNegativeRate,
-            Metric::PositivePredictiveValue,
-            Metric::NegativePredictiveValue,
-            Metric::FalseDiscoveryRate,
-            Metric::FalseOmissionRate,
-            Metric::PositiveRate,
-            Metric::PredictedPositiveRate,
-        ];
-        for metric in ALL {
-            for v in [false, true] {
-                for u in [false, true] {
-                    let mut cells = ConfusionCells::default();
-                    cells.add_row(v, u);
-                    assert_eq!(
-                        cells.outcome_counts(metric),
-                        OutcomeCounts::from_outcome(metric.outcome(v, u)),
-                        "{metric} at v={v} u={u}"
-                    );
-                }
+        let rows = [(true, true), (false, true), (false, true), (true, false)];
+        let resolved: Vec<MetricCells> = Metric::ALL.iter().map(|&m| MetricCells::of(m)).collect();
+        let (support, cells) = cells_of(&rows);
+        let derived = MultiCounts::derive(support, &cells, &resolved);
+        assert_eq!(
+            derived.len(),
+            Metric::ALL.len(),
+            "one pass holds every metric"
+        );
+        for (m, &metric) in Metric::ALL.iter().enumerate() {
+            for &(v, u) in &CELLS {
+                let (support, cells) = cells_of(&[(v, u)]);
+                assert_eq!(
+                    cells.outcome_counts(support, metric),
+                    OutcomeCounts::from_outcome(metric.outcome(v, u)),
+                    "{metric} at v={v} u={u}"
+                );
             }
-        }
-        for pass in ALL.chunks(MAX_METRICS) {
-            let mut merged = MultiCounts::zero();
-            let mut cells = ConfusionCells::default();
-            for (v, u) in [(true, true), (false, true), (false, true), (true, false)] {
-                let outcomes: Vec<Outcome> = pass.iter().map(|m| m.outcome(v, u)).collect();
-                merged.merge(&MultiCounts::from_outcomes(&outcomes));
-                cells.add_row(v, u);
+            let mut merged = OutcomeCounts::zero();
+            for &(v, u) in &rows {
+                merged.merge(&OutcomeCounts::from_outcome(metric.outcome(v, u)));
             }
-            assert_eq!(MultiCounts::derive(&cells, pass), merged);
+            assert_eq!(derived.get(m), merged, "{metric}");
         }
     }
 
@@ -451,15 +403,15 @@ mod tests {
         let mut counts = vec![0u64; 3];
         masks.count_sparse(&tids, &mut counts);
         let decoded: CountedCells = masks.decode(&counts);
-        let mut expected = ConfusionCells::default();
-        for &t in &tids {
-            let (v, u) = rows[t as usize];
-            expected.add_row(v, u);
-        }
-        assert_eq!(
-            ConfusionCells::from_counted(tids.len() as u64, &decoded),
-            expected
-        );
+        let picked: Vec<(bool, bool)> = tids.iter().map(|&t| rows[t as usize]).collect();
+        assert_eq!((tids.len() as u64, decoded), cells_of(&picked));
+    }
+
+    #[test]
+    fn aggregated_counted_cells_are_not_maskable() {
+        // A tally of 2 is not a class membership; the lowering must bail.
+        let (_, cells) = cells_of(&[(true, true), (true, true)]);
+        assert!(CountedCells::mask_spec(&[cells]).is_none());
     }
 
     #[test]
@@ -472,19 +424,28 @@ mod tests {
             (true, false),
             (false, false),
         ];
-        let mut base = ConfusionCells::default();
-        let mut flipped = ConfusionCells::default();
-        let mut moved = ConfusionCells::default();
-        for (r, &(v, u)) in base_rows.iter().enumerate() {
-            base.add_row(v, u);
-            let u2 = if r == 0 || r == 2 { !u } else { u };
-            flipped.add_row(v, u2);
-            if u2 != u {
-                moved.add_row(v, u2);
-            }
-        }
-        assert_eq!(base.with_moved_rows(&moved), flipped);
+        let flipped_rows: Vec<(bool, bool)> = base_rows
+            .iter()
+            .enumerate()
+            .map(|(r, &(v, u))| (v, u ^ (r == 0 || r == 2)))
+            .collect();
+        let confusion = |rows: &[(bool, bool)]| {
+            let (support, cells) = cells_of(rows);
+            ConfusionCells::from_counted(support, &cells)
+        };
+        let base = confusion(&base_rows);
+        let moved = confusion(&[flipped_rows[0], flipped_rows[2]]);
+        assert_eq!(base.with_moved_rows(&moved), confusion(&flipped_rows));
         assert_eq!(base.with_moved_rows(&ConfusionCells::default()), base);
+        assert_eq!(base.support(), 5);
+        assert_eq!(base.counted(), cells_of(&base_rows).1);
+    }
+
+    #[test]
+    fn counts_convert_to_floats_exactly() {
+        for x in [0, 1, 2, 12_345, 1 << 31, u32::MAX - 1, u32::MAX] {
+            assert_eq!(count_as_f64(x).to_bits(), (x as f64).to_bits(), "{x}");
+        }
     }
 
     #[test]
@@ -524,31 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_counts_tracks_each_metric() {
-        use crate::Outcome::{Bot, F, T};
-        let mut a = MultiCounts::from_outcomes(&[T, Bot]);
-        a.merge(&MultiCounts::from_outcomes(&[F, Bot]));
-        a.merge(&MultiCounts::from_outcomes(&[T, T]));
-        assert_eq!(a.get(0), OutcomeCounts { t: 2, f: 1, bot: 0 });
-        assert_eq!(a.get(1), OutcomeCounts { t: 1, f: 0, bot: 2 });
-    }
-
-    #[test]
-    fn multi_counts_zero_adapts_arity() {
-        use crate::Outcome::T;
-        let mut z = MultiCounts::zero();
-        assert!(z.is_empty());
-        z.merge(&MultiCounts::from_outcomes(&[T, T, T]));
-        assert_eq!(z.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "at most")]
-    fn too_many_metrics_panics() {
-        let _ = MultiCounts::empty(MAX_METRICS + 1);
-    }
-
-    #[test]
     fn outcome_counts_round_trip_through_class_masks() {
         use crate::Outcome::{Bot, F, T};
         let payloads: Vec<OutcomeCounts> = [T, F, Bot, T, T, F]
@@ -573,35 +509,5 @@ mod tests {
         // A tally of 2 is not a class membership; the lowering must bail.
         let payloads = [OutcomeCounts { t: 2, f: 0, bot: 0 }];
         assert!(OutcomeCounts::mask_spec(&payloads).is_none());
-    }
-
-    #[test]
-    fn multi_counts_round_trip_through_class_masks() {
-        use crate::Outcome::{Bot, F, T};
-        let payloads: Vec<MultiCounts> = [[T, Bot], [F, T], [Bot, Bot], [T, F]]
-            .iter()
-            .map(|os| MultiCounts::from_outcomes(os))
-            .collect();
-        let masks = fpm::ClassMasks::build(&payloads).expect("indicators are maskable");
-        assert_eq!(masks.n_classes(), 6);
-        let tids = [1u32, 2, 3];
-        let mut counts = vec![0u64; 6];
-        masks.count_sparse(&tids, &mut counts);
-        let decoded: MultiCounts = masks.decode(&counts);
-        let mut expected = MultiCounts::zero();
-        for &t in &tids {
-            expected.merge(&payloads[t as usize]);
-        }
-        assert_eq!(decoded, expected);
-    }
-
-    #[test]
-    fn mixed_arity_multi_counts_are_not_maskable() {
-        use crate::Outcome::T;
-        let payloads = [
-            MultiCounts::from_outcomes(&[T, T]),
-            MultiCounts::from_outcomes(&[T]),
-        ];
-        assert!(MultiCounts::mask_spec(&payloads).is_none());
     }
 }

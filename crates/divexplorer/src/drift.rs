@@ -102,10 +102,9 @@ impl DriftReport {
                 }
                 let t = self
                     .baseline
-                    .counts(b_idx)
-                    .get(0)
+                    .metric_counts(b_idx, 0)
                     .posterior()
-                    .welch_t(&self.current.counts(c_idx).get(0).posterior());
+                    .welch_t(&self.current.metric_counts(c_idx, 0).posterior());
                 Some(PatternDrift {
                     items: p.items.to_vec(),
                     delta_baseline,

@@ -4,21 +4,22 @@
 //! Given a dataset `D`, ground truth `v`, black-box predictions `u`, a list
 //! of metrics and a minimum support `s`, the exploration:
 //!
-//! 1. evaluates each metric's outcome function on every instance (line 1),
-//! 2. one-hot encodes the outcomes into `(T, F, ⊥)` tallies (line 2),
-//! 3. runs a frequent-pattern miner whose payload mechanism sums the
-//!    tallies of covering transactions per candidate itemset (lines 4–12),
-//! 4. turns tallies into rates and divergences (lines 13–14).
+//! 1. one-hot encodes every instance's confusion cell as a
+//!    [`CountedCells`] payload, whatever the metrics (lines 1–2),
+//! 2. runs a frequent-pattern miner whose payload mechanism sums the
+//!    cells of covering transactions per candidate itemset (lines 4–12),
+//! 3. derives each metric's `(T, F, ⊥)` tallies from the cells, and from
+//!    them rates and divergences, when the report is read (lines 13–14).
 //!
 //! The result is *sound and complete* (Theorem 5.1): it contains exactly the
 //! itemsets with support ≥ `s`, each with its exact divergence.
 
 use std::time::Instant;
 
-use crate::counts::{ConfusionCells, CountedCells, MultiCounts, OutcomeCounts, MAX_METRICS};
+use crate::counts::{ConfusionCells, CountedCells, OutcomeCounts};
 use crate::dataset::DiscreteDataset;
 use crate::report::DivergenceReport;
-use crate::{Metric, Outcome};
+use crate::Metric;
 use fpm::{
     Budget, BudgetSink, CancelToken, Completeness, ItemsetArena, ItemsetSink, Payload, TracingSink,
     TruncationReason,
@@ -38,8 +39,6 @@ pub enum ExploreError {
     },
     /// No metrics were requested.
     NoMetrics,
-    /// More than [`MAX_METRICS`] metrics were requested for one pass.
-    TooManyMetrics(usize),
     /// The same metric was requested twice.
     DuplicateMetric(Metric),
     /// The dataset has no rows.
@@ -62,12 +61,6 @@ impl std::fmt::Display for ExploreError {
                 )
             }
             ExploreError::NoMetrics => write!(f, "at least one metric is required"),
-            ExploreError::TooManyMetrics(n) => {
-                write!(
-                    f,
-                    "{n} metrics requested but at most {MAX_METRICS} fit one pass"
-                )
-            }
             ExploreError::DuplicateMetric(m) => write!(f, "metric {m} requested twice"),
             ExploreError::EmptyDataset => write!(f, "the dataset has no rows"),
             ExploreError::InvalidSupport(s) => {
@@ -182,7 +175,8 @@ impl DivExplorer {
     }
 
     /// Runs the exploration: mines every itemset with support ≥ the
-    /// threshold and tallies each metric's outcomes over it.
+    /// threshold and tallies its confusion cells, from which the report
+    /// derives each metric's outcomes.
     ///
     /// The miners stream straight into the report's [`ItemsetArena`] —
     /// no intermediate per-pattern `Vec` is materialized.
@@ -195,11 +189,11 @@ impl DivExplorer {
     ) -> Result<DivergenceReport, ExploreError> {
         self.validate(data, v, u, metrics)?;
 
-        // Line 1–2: outcome functions, one-hot encoded per instance.
+        // Lines 1–2: each instance's confusion cell, one-hot encoded.
         let n = data.n_rows();
         let (payloads, dataset_counts) = {
             let _span = obs::span("explore.tally");
-            tally_outcomes(v, u, metrics)
+            tally_cells(v.iter().copied().zip(u.iter().copied()))
         };
 
         // Lines 4–12: frequent-pattern mining with fused tallies, emitted
@@ -286,9 +280,11 @@ impl DivExplorer {
         };
         let _span = obs::span("explore.recount");
         let (cells, verdict) = self.recount_cells(&db, &payloads, candidates);
+        // Released under the span, so a trace attributes the release too.
+        drop((db, payloads));
         Ok(LatticeTallies {
             cells,
-            dataset,
+            dataset: ConfusionCells::from_counted(v.len() as u64, &dataset),
             completeness: verdict.completeness,
             shards: verdict.shards,
         })
@@ -333,6 +329,7 @@ impl DivExplorer {
             let _span = obs::span("explore.tally");
             let rows: Vec<usize> = (0..u.len()).filter(|&r| u[r] != u_base[r]).collect();
             let (payloads, moved) = tally_cells(rows.iter().map(|&r| (v[r], u[r])));
+            let moved = ConfusionCells::from_counted(rows.len() as u64, &moved);
             (rows, payloads, moved)
         };
         let db = {
@@ -341,6 +338,7 @@ impl DivExplorer {
         };
         let _span = obs::span("explore.recount");
         let (moved, verdict) = self.recount_cells(&db, &payloads, candidates);
+        drop((db, payloads));
         // A cut recount has no cells, so neither has the result.
         let cells = base
             .cells
@@ -358,11 +356,11 @@ impl DivExplorer {
 
     /// Derives the report of `metrics` from `tallies` — no recount, no
     /// row is read. Every candidate that meets this explorer's support
-    /// threshold keeps the [`MultiCounts`] its cells sum to, in
-    /// candidate-id order, up to the budget's itemset cap; the report
-    /// equals [`DivExplorer::from_artifact`] under the tallies'
-    /// predictions, bit for bit. Truncated tallies give an empty report
-    /// with their truncated completeness.
+    /// threshold keeps its cells, in candidate-id order, up to the
+    /// budget's itemset cap; the report equals
+    /// [`DivExplorer::from_artifact`] under the tallies' predictions, bit
+    /// for bit. Truncated tallies give an empty report with their
+    /// truncated completeness.
     ///
     /// `tallies` must have been tallied over `candidates` from `data`.
     /// The derivation runs under the `explore.recount` span, so every
@@ -407,11 +405,7 @@ impl DivExplorer {
                     };
                     break;
                 }
-                traced.emit(
-                    candidates.items(id),
-                    support,
-                    &MultiCounts::derive(cells, metrics),
-                );
+                traced.emit(candidates.items(id), support, &cells.counted());
                 emitted += 1;
             }
         }
@@ -422,7 +416,7 @@ impl DivExplorer {
             metrics.to_vec(),
             n,
             min_support_count,
-            MultiCounts::derive(&tallies.dataset, metrics),
+            tallies.dataset.counted(),
             store,
         )
         .with_completeness(completeness)
@@ -481,10 +475,10 @@ impl DivExplorer {
     fn mine_bounded(
         &self,
         db: &fpm::TransactionDb,
-        payloads: &[MultiCounts],
+        payloads: &[CountedCells],
         params: &fpm::MiningParams,
     ) -> (
-        ItemsetArena<MultiCounts>,
+        ItemsetArena<CountedCells>,
         Completeness,
         Option<fpm::ShardStats>,
     ) {
@@ -506,7 +500,7 @@ impl DivExplorer {
     /// the merged canonical result after the parallel search (its
     /// `wants_extensions` hook is not consulted — see
     /// [`fpm::parallel::mine_into`]).
-    pub fn explore_into<S: ItemsetSink<MultiCounts>>(
+    pub fn explore_into<S: ItemsetSink<CountedCells>>(
         &self,
         data: &DiscreteDataset,
         v: &[bool],
@@ -520,7 +514,7 @@ impl DivExplorer {
         let tally_start = Instant::now();
         let (payloads, dataset_counts) = {
             let _span = obs::span("explore.tally");
-            tally_outcomes(v, u, metrics)
+            tally_cells(v.iter().copied().zip(u.iter().copied()))
         };
         let tally_us = tally_start.elapsed().as_micros() as u64;
         let encode_start = Instant::now();
@@ -578,7 +572,7 @@ impl DivExplorer {
         let n = data.n_rows();
         let (payloads, dataset_counts) = {
             let _span = obs::span("explore.tally");
-            tally_outcomes(v, u, metrics)
+            tally_cells(v.iter().copied().zip(u.iter().copied()))
         };
         let db = {
             let _span = obs::span("explore.encode");
@@ -664,9 +658,6 @@ fn validate_metrics(metrics: &[Metric]) -> Result<(), ExploreError> {
     if metrics.is_empty() {
         return Err(ExploreError::NoMetrics);
     }
-    if metrics.len() > MAX_METRICS {
-        return Err(ExploreError::TooManyMetrics(metrics.len()));
-    }
     for (i, &m) in metrics.iter().enumerate() {
         if metrics[..i].contains(&m) {
             return Err(ExploreError::DuplicateMetric(m));
@@ -715,8 +706,8 @@ pub struct ExplorationStats {
     pub n_rows: usize,
     /// The absolute support-count threshold used.
     pub min_support_count: u64,
-    /// Tallies of every metric over the whole dataset.
-    pub dataset_counts: MultiCounts,
+    /// The cells of the whole dataset (of [`ExplorationStats::n_rows`] rows).
+    pub dataset_counts: CountedCells,
     /// Whether the mining pass saw the whole frequent lattice; pass this
     /// on via [`DivergenceReport::with_completeness`] when assembling a
     /// report from the sink's contents.
@@ -737,7 +728,7 @@ pub struct ExplorationStats {
 /// don't install a recorder.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
-    /// Outcome evaluation + one-hot tallies (Algorithm 1 lines 1–2).
+    /// Each row's confusion cell, one-hot encoded (Algorithm 1 lines 1–2).
     pub tally_us: u64,
     /// Dataset → transaction encoding.
     pub encode_us: u64,
@@ -747,30 +738,16 @@ pub struct StageTimings {
     pub total_us: u64,
 }
 
-/// Lines 1–2 of Algorithm 1: per-instance one-hot outcome tallies plus
-/// their dataset-level sum.
-fn tally_outcomes(v: &[bool], u: &[bool], metrics: &[Metric]) -> (Vec<MultiCounts>, MultiCounts) {
-    let mut outcome_buf: Vec<Outcome> = Vec::with_capacity(metrics.len());
-    let mut payloads: Vec<MultiCounts> = Vec::with_capacity(v.len());
-    let mut dataset_counts = MultiCounts::empty(metrics.len());
-    for r in 0..v.len() {
-        outcome_buf.clear();
-        outcome_buf.extend(metrics.iter().map(|m| m.outcome(v[r], u[r])));
-        let mc = MultiCounts::from_outcomes(&outcome_buf);
-        dataset_counts.merge(&mc);
-        payloads.push(mc);
-    }
-    (payloads, dataset_counts)
-}
-
-/// The recount's lines 1–2: each row's confusion cell as a three-mask
-/// payload, plus the cells of all the rows together.
-fn tally_cells(rows: impl Iterator<Item = (bool, bool)>) -> (Vec<CountedCells>, ConfusionCells) {
-    let mut total = ConfusionCells::default();
+/// Lines 1–2 of Algorithm 1, for mining and the recount alike: each
+/// `(v, u)` row's confusion cell as a three-mask payload, plus the cells
+/// of all the rows together.
+fn tally_cells(rows: impl Iterator<Item = (bool, bool)>) -> (Vec<CountedCells>, CountedCells) {
+    let mut total = CountedCells::default();
     let payloads = rows
         .map(|(v, u)| {
-            total.add_row(v, u);
-            CountedCells::of_row(v, u)
+            let cells = CountedCells::of_row(v, u);
+            total.merge(&cells);
+            cells
         })
         .collect();
     (payloads, total)
@@ -779,12 +756,7 @@ fn tally_cells(rows: impl Iterator<Item = (bool, bool)>) -> (Vec<CountedCells>, 
 /// Computes dataset-level outcome tallies without mining — useful for
 /// reporting overall rates (e.g. the paper's "overall FPR is 0.088").
 pub fn dataset_outcome_counts(v: &[bool], u: &[bool], metric: Metric) -> OutcomeCounts {
-    assert_eq!(v.len(), u.len());
-    let mut counts = OutcomeCounts::default();
-    for (&vi, &ui) in v.iter().zip(u) {
-        counts.merge(&OutcomeCounts::from_outcome(metric.outcome(vi, ui)));
-    }
-    counts
+    CountedCells::of_rows(v, u).outcome_counts(v.len() as u64, metric)
 }
 
 #[cfg(test)]

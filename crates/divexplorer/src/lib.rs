@@ -16,10 +16,11 @@
 //! ```
 //!
 //! The exhaustive exploration is fused into frequent-pattern mining (the
-//! [`fpm`] crate): the three-valued outcome counters `(T, F, ⊥)` of every
-//! itemset ride along with support counting, so one mining pass yields the
-//! divergence of all frequent itemsets (Algorithm 1 of the paper; sound and
-//! complete per its Theorem 5.1).
+//! [`fpm`] crate): the confusion cells of every itemset ride along with
+//! support counting, and every metric's three-valued outcome tallies
+//! `(T, F, ⊥)` are derived from them, so one mining pass yields the
+//! divergence of all frequent itemsets under every metric (Algorithm 1 of
+//! the paper; sound and complete per its Theorem 5.1).
 //!
 //! On top of the exploration the crate provides the paper's full analysis
 //! toolkit:
@@ -91,7 +92,7 @@ pub mod summary;
 pub use cache::{ArenaCache, ArenaKey};
 pub use compare::{compare_models, disagreement_report, ModelComparison};
 pub use continuous::{explore_statistic, ContinuousReport, MomentCounts};
-pub use counts::{MultiCounts, OutcomeCounts, MAX_METRICS};
+pub use counts::{CountedCells, MultiCounts, OutcomeCounts};
 pub use dataset::{DatasetBuilder, DiscreteDataset};
 pub use discretize::BinningStrategy;
 pub use drift::{drift_between, DriftReport, PatternDrift};
@@ -157,6 +158,22 @@ pub enum Outcome {
 }
 
 impl Metric {
+    /// Every metric, in declaration order.
+    pub const ALL: [Metric; 12] = [
+        Metric::FalsePositiveRate,
+        Metric::FalseNegativeRate,
+        Metric::ErrorRate,
+        Metric::Accuracy,
+        Metric::TruePositiveRate,
+        Metric::TrueNegativeRate,
+        Metric::PositivePredictiveValue,
+        Metric::NegativePredictiveValue,
+        Metric::FalseDiscoveryRate,
+        Metric::FalseOmissionRate,
+        Metric::PositiveRate,
+        Metric::PredictedPositiveRate,
+    ];
+
     /// Evaluates the outcome function on one instance with ground truth `v`
     /// and predicted label `u`.
     pub fn outcome(self, v: bool, u: bool) -> Outcome {

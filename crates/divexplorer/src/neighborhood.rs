@@ -74,26 +74,25 @@ pub fn neighborhood(report: &DivergenceReport, items: &[ItemId], m: usize) -> Op
     // Specializations: every frequent superset with exactly one more item.
     let mut specializations = Vec::new();
     for c_idx in 0..report.len() {
-        let candidate = report.pattern(c_idx);
-        if candidate.items.len() != items.len() + 1 || !is_subset(items, candidate.items) {
+        let candidate = report.items(c_idx);
+        if candidate.len() != items.len() + 1 || !is_subset(items, candidate) {
             continue;
         }
         let added = *candidate
-            .items
             .iter()
             .find(|i| !items.contains(i))
             .expect("superset has one extra item");
-        debug_assert_eq!(with(items, added), candidate.items);
+        debug_assert_eq!(with(items, added), candidate);
         let c_delta = report.divergence(c_idx, m);
         if c_delta.is_nan() {
             continue;
         }
         specializations.push(Step {
             item: added,
-            items: candidate.items.to_vec(),
+            items: candidate.to_vec(),
             delta: c_delta,
             delta_change: c_delta - delta,
-            support: candidate.support,
+            support: report.support(c_idx),
         });
     }
     specializations.sort_by(|a, b| {

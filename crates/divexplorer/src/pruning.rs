@@ -19,9 +19,10 @@
 
 use fpm::{ItemsetSink, Subset};
 
-use crate::counts::MultiCounts;
+use crate::counts::{CountedCells, MetricCells, OutcomeCounts};
 use crate::item::ItemId;
 use crate::report::DivergenceReport;
+use crate::Metric;
 
 /// Indices of the patterns that survive ε-redundancy pruning for metric `m`.
 ///
@@ -67,30 +68,36 @@ pub fn pruning_curve(report: &DivergenceReport, m: usize, epsilons: &[f64]) -> V
 }
 
 /// A streaming sink keeping only patterns with `|Δ(I)| ≥ threshold` for
-/// some tallied metric, forwarding them to `inner`.
+/// some of its metrics, forwarding them to `inner`.
 ///
-/// Divergence is computed against fixed dataset-level tallies supplied at
-/// construction (obtainable without mining via
-/// [`crate::explorer::dataset_outcome_counts`] per metric, or from
-/// [`crate::ExplorationStats`]). Because a pattern's extensions can be
+/// Divergence is computed against the fixed dataset-level cells supplied
+/// at construction (obtainable without mining via
+/// [`CountedCells::of_rows`]). Because a pattern's extensions can be
 /// *more* divergent than the pattern itself, `wants_extensions` always
 /// answers true — only emission is filtered, so mining completeness for
 /// the surviving patterns is preserved.
 #[derive(Debug)]
 pub struct DivergenceFilterSink<S> {
     inner: S,
-    dataset_counts: MultiCounts,
+    /// Each metric's cells and its tallies over the whole dataset.
+    metrics: Vec<(MetricCells, OutcomeCounts)>,
     threshold: f64,
 }
 
 impl<S> DivergenceFilterSink<S> {
-    /// Filters at `|Δ| ≥ threshold` under any of the metrics tallied in
-    /// `dataset_counts`.
-    pub fn new(inner: S, dataset_counts: MultiCounts, threshold: f64) -> Self {
+    /// Filters at `|Δ| ≥ threshold` under any of `metrics`, against a
+    /// dataset of `n_rows` rows whose cells are `dataset_counts`.
+    pub fn new(
+        inner: S,
+        metrics: &[Metric],
+        n_rows: usize,
+        dataset_counts: CountedCells,
+        threshold: f64,
+    ) -> Self {
         assert!(threshold >= 0.0, "threshold must be non-negative");
         DivergenceFilterSink {
             inner,
-            dataset_counts,
+            metrics: MetricCells::with_dataset(metrics, n_rows, &dataset_counts),
             threshold,
         }
     }
@@ -101,10 +108,10 @@ impl<S> DivergenceFilterSink<S> {
     }
 }
 
-impl<S: ItemsetSink<MultiCounts>> ItemsetSink<MultiCounts> for DivergenceFilterSink<S> {
-    fn emit(&mut self, items: &[ItemId], support: u64, payload: &MultiCounts) {
-        let passes = (0..self.dataset_counts.len()).any(|m| {
-            let delta = payload.get(m).rate() - self.dataset_counts.get(m).rate();
+impl<S: ItemsetSink<CountedCells>> ItemsetSink<CountedCells> for DivergenceFilterSink<S> {
+    fn emit(&mut self, items: &[ItemId], support: u64, payload: &CountedCells) {
+        let passes = self.metrics.iter().any(|(cells, dataset)| {
+            let delta = cells.counts(support, payload).rate() - dataset.rate();
             delta.abs() >= self.threshold
         });
         if passes {
@@ -232,14 +239,14 @@ mod tests {
         let full = explorer.explore(&data, &v, &u, &metrics).unwrap();
         let threshold = 0.1;
 
-        // Dataset tallies are available without mining (line 2 of Alg. 1).
-        let mut dataset_counts = MultiCounts::empty(1);
-        for (&vi, &ui) in v.iter().zip(&u) {
-            let mc = MultiCounts::from_outcomes(&[Metric::FalsePositiveRate.outcome(vi, ui)]);
-            fpm::Payload::merge(&mut dataset_counts, &mc);
-        }
-        let mut sink =
-            DivergenceFilterSink::new(fpm::ItemsetArena::new(), dataset_counts, threshold);
+        // Dataset cells are available without mining (line 2 of Alg. 1).
+        let mut sink = DivergenceFilterSink::new(
+            fpm::ItemsetArena::new(),
+            &metrics,
+            v.len(),
+            CountedCells::of_rows(&v, &u),
+            threshold,
+        );
         let stats = explorer
             .explore_into(&data, &v, &u, &metrics, &mut sink)
             .unwrap();
@@ -270,8 +277,10 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_filter_threshold_panics() {
         let _ = DivergenceFilterSink::new(
-            fpm::VecSink::<MultiCounts>::new(),
-            MultiCounts::empty(1),
+            fpm::VecSink::<CountedCells>::new(),
+            &[Metric::ErrorRate],
+            1,
+            CountedCells::default(),
             -0.5,
         );
     }

@@ -113,18 +113,18 @@ impl PatternQuery {
 
     /// True iff pattern `idx` of `report` matches under metric `m`.
     pub fn matches(&self, report: &DivergenceReport, idx: usize, m: usize) -> bool {
-        let pattern = report.pattern(idx);
+        let items = report.items(idx);
         let delta = report.divergence(idx, m);
         if delta.is_nan() {
             return false;
         }
         if let Some(min) = self.min_len {
-            if pattern.items.len() < min {
+            if items.len() < min {
                 return false;
             }
         }
         if let Some(max) = self.max_len {
-            if pattern.items.len() > max {
+            if items.len() > max {
                 return false;
             }
         }
@@ -143,15 +143,11 @@ impl PatternQuery {
                 return false;
             }
         }
-        if !self
-            .require_items
-            .iter()
-            .all(|item| pattern.items.contains(item))
-        {
+        if !self.require_items.iter().all(|item| items.contains(item)) {
             return false;
         }
         if !self.require_attributes.is_empty() || !self.forbid_attributes.is_empty() {
-            let attrs = report.schema().itemset_attributes(pattern.items);
+            let attrs = report.schema().itemset_attributes(items);
             if !self.require_attributes.iter().all(|a| attrs.contains(a)) {
                 return false;
             }

@@ -4,31 +4,34 @@
 //! Patterns live in an [`ItemsetArena`] — one flat item buffer plus a
 //! record per pattern — so building a report from a mining run moves the
 //! arena in without copying a single itemset, and lookups share the
-//! arena's lazily built itemset → id index.
+//! arena's lazily built itemset → id index. Each 32-byte record holds the
+//! pattern's [`CountedCells`]; per-metric values are derived on read.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use fpm::{Completeness, ItemsetArena, SubsetEdge};
 
-use crate::counts::{MultiCounts, OutcomeCounts};
+use crate::counts::{CountedCells, MetricCells, MultiCounts, OutcomeCounts};
 use crate::item::ItemId;
 use crate::schema::Schema;
+use crate::stats::p_value_two_sided;
 use crate::Metric;
 
 /// A borrowed view of one frequent pattern (itemset) in a report.
 ///
 /// Obtained from [`DivergenceReport::pattern`] or by iterating
 /// [`DivergenceReport::patterns`]; the items point into the report's
-/// arena, so no per-pattern allocation happens on access.
+/// arena and the tallies are derived on the stack, so no per-pattern
+/// allocation happens on access.
 #[derive(Debug, Clone, Copy)]
 pub struct PatternRef<'a> {
     /// Canonical (sorted) item ids.
     pub items: &'a [ItemId],
     /// Support count `|D(I)|`.
     pub support: u64,
-    /// Per-metric `(T, F, ⊥)` tallies accumulated during mining.
-    pub counts: &'a MultiCounts,
+    /// Per-metric `(T, F, ⊥)` tallies, derived from the pattern's cells.
+    pub counts: MultiCounts,
 }
 
 impl PatternRef<'_> {
@@ -72,37 +75,52 @@ pub enum SortBy {
 pub struct DivergenceReport {
     schema: Schema,
     metrics: Vec<Metric>,
+    /// Where each metric's `T` and `F` outcomes fall among the cells.
+    metric_cells: Vec<MetricCells>,
     n_rows: usize,
     min_support_count: u64,
+    dataset_cells: CountedCells,
+    /// Every metric's tallies over the whole dataset, derived once.
     dataset_counts: MultiCounts,
-    store: ItemsetArena<MultiCounts>,
+    store: ItemsetArena<CountedCells>,
     completeness: Completeness,
     shard_stats: Option<fpm::ShardStats>,
 }
 
 impl DivergenceReport {
-    /// Assembles a report from an already-mined arena of tallies.
+    /// Assembles a report from an already-mined arena of cells.
     ///
     /// [`crate::DivExplorer::explore`] is the usual way to get a report;
     /// this constructor exists for callers that stream mining through
     /// their own [`fpm::ItemsetSink`] stack (e.g. a significance or
     /// divergence filter) into an arena and want the full report API over
-    /// the filtered result. `dataset_counts` must be the tallies over the
-    /// whole dataset and `store` must hold canonical itemsets.
+    /// the filtered result. `dataset_counts` must be the cells of the
+    /// whole dataset of `n_rows` rows and `store` must hold canonical
+    /// itemsets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `metrics` names a metric twice.
     pub fn from_store(
         schema: Schema,
         metrics: Vec<Metric>,
         n_rows: usize,
         min_support_count: u64,
-        dataset_counts: MultiCounts,
-        store: ItemsetArena<MultiCounts>,
+        dataset_counts: CountedCells,
+        store: ItemsetArena<CountedCells>,
     ) -> Self {
+        for (i, m) in metrics.iter().enumerate() {
+            assert!(!metrics[..i].contains(m), "metric {m} named twice");
+        }
+        let metric_cells: Vec<MetricCells> = metrics.iter().map(|&m| MetricCells::of(m)).collect();
         DivergenceReport {
             schema,
             metrics,
             n_rows,
             min_support_count,
-            dataset_counts,
+            dataset_counts: MultiCounts::derive(n_rows as u64, &dataset_counts, &metric_cells),
+            dataset_cells: dataset_counts,
+            metric_cells,
             store,
             completeness: Completeness::Complete,
             shard_stats: None,
@@ -185,7 +203,7 @@ impl DivergenceReport {
         PatternRef {
             items: entry.items,
             support: entry.support,
-            counts: entry.payload,
+            counts: MultiCounts::derive(entry.support, entry.payload, &self.metric_cells),
         }
     }
 
@@ -204,9 +222,20 @@ impl DivergenceReport {
         self.store.support(idx)
     }
 
-    /// The per-metric tallies of pattern `idx`.
-    pub fn counts(&self, idx: usize) -> &MultiCounts {
-        self.store.payload(idx)
+    /// The per-metric tallies of pattern `idx`, derived from its cells.
+    pub fn counts(&self, idx: usize) -> MultiCounts {
+        MultiCounts::derive(
+            self.support(idx),
+            self.store.payload(idx),
+            &self.metric_cells,
+        )
+    }
+
+    /// The tallies of metric `m` alone on pattern `idx`: the one
+    /// derivation behind every per-metric value.
+    #[inline]
+    pub(crate) fn metric_counts(&self, idx: usize, m: usize) -> OutcomeCounts {
+        self.metric_cells[m].counts(self.support(idx), self.store.payload(idx))
     }
 
     /// Index of the pattern with exactly these (sorted) items.
@@ -237,18 +266,21 @@ impl DivergenceReport {
     }
 
     /// The overall rate `f(D)` of metric `m`.
+    #[inline]
     pub fn dataset_rate(&self, m: usize) -> f64 {
         self.dataset_counts.get(m).rate()
     }
 
     /// The rate `f(I)` of metric `m` on pattern `idx`.
+    #[inline]
     pub fn rate(&self, idx: usize, m: usize) -> f64 {
-        self.counts(idx).get(m).rate()
+        self.metric_counts(idx, m).rate()
     }
 
     /// The divergence `Δ_f(I) = f(I) − f(D)` of pattern `idx` (Eq. 1).
     ///
     /// `NaN` when `f(I)` is undefined (empty reference class).
+    #[inline]
     pub fn divergence(&self, idx: usize, m: usize) -> f64 {
         self.rate(idx, m) - self.dataset_rate(m)
     }
@@ -271,15 +303,19 @@ impl DivergenceReport {
     /// Welch t-statistic between the Beta posteriors of the pattern's rate
     /// and the dataset's rate (§3.3).
     pub fn t_statistic(&self, idx: usize, m: usize) -> f64 {
-        let pi = self.counts(idx).get(m).posterior();
-        let pd = self.dataset_counts.get(m).posterior();
-        pi.welch_t(&pd)
+        self.t_statistics(m)(idx)
+    }
+
+    /// Metric `m`'s t-statistic of any pattern, the dataset side computed once.
+    fn t_statistics(&self, m: usize) -> impl Fn(usize) -> f64 + '_ {
+        let against_dataset = self.dataset_counts.get(m).posterior().welch_t_against();
+        move |idx| against_dataset(&self.metric_counts(idx, m).posterior())
     }
 
     /// Two-sided p-value of the pattern's divergence (normal approximation
     /// of the Welch test on the Beta posteriors).
     pub fn p_value(&self, idx: usize, m: usize) -> f64 {
-        crate::stats::p_value_two_sided(self.t_statistic(idx, m))
+        p_value_two_sided(self.t_statistic(idx, m))
     }
 
     /// Pattern indices whose divergence is significant under
@@ -288,25 +324,22 @@ impl DivergenceReport {
     /// exploration. Sorted by ascending p-value.
     pub fn significant_at_fdr(&self, m: usize, q: f64) -> Vec<usize> {
         let _span = obs::span("stats.fdr");
-        crate::stats::benjamini_hochberg_by(self.len(), |idx| self.p_value(idx, m), q)
+        let t = self.t_statistics(m);
+        crate::stats::benjamini_hochberg_by(self.len(), |idx| p_value_two_sided(t(idx)), q)
     }
 
     /// `(key, idx)` for every pattern whose ranking key under `order` is
     /// defined (not `NaN`); larger keys rank first. The dataset-level terms
-    /// are computed once, so each key costs one tally lookup.
+    /// are computed once, so each key costs one derivation of one metric.
     fn keyed(&self, m: usize, order: SortBy) -> impl Iterator<Item = (f64, usize)> + '_ {
         let dataset_rate = self.dataset_rate(m);
-        let dataset_posterior = self.dataset_counts.get(m).posterior();
+        let t = self.t_statistics(m);
         let key = move |idx| match order {
             SortBy::Divergence => self.rate(idx, m) - dataset_rate,
             SortBy::NegativeDivergence => -(self.rate(idx, m) - dataset_rate),
             SortBy::AbsDivergence => (self.rate(idx, m) - dataset_rate).abs(),
             SortBy::Support => self.support(idx) as f64,
-            SortBy::TStatistic => self
-                .counts(idx)
-                .get(m)
-                .posterior()
-                .welch_t(&dataset_posterior),
+            SortBy::TStatistic => t(idx),
         };
         (0..self.len())
             .map(move |idx| (key(idx), idx))
@@ -316,6 +349,7 @@ impl DivergenceReport {
     /// The ranking order over [`Self::keyed`] pairs: key descending, then
     /// shorter itemset, then lexicographic items, then index (a total
     /// order, so every sort agrees).
+    #[inline]
     fn rank_cmp(&self, (ka, a): (f64, usize), (kb, b): (f64, usize)) -> Ordering {
         kb.partial_cmp(&ka)
             .expect("NaN keys are never ranked")
@@ -379,7 +413,7 @@ impl DivergenceReport {
             self.metrics.clone(),
             self.n_rows,
             count,
-            self.dataset_counts,
+            self.dataset_cells,
             store,
         )
         // A subset of a truncated lattice is still truncated, and the
@@ -686,12 +720,13 @@ mod tests {
         let full = explorer.explore(&data, &v, &u, &metrics).unwrap();
         assert!(!check_edges(&full), "a complete lattice is closed");
 
-        let mut dataset_counts = MultiCounts::empty(1);
-        for (&vi, &ui) in v.iter().zip(&u) {
-            let mc = MultiCounts::from_outcomes(&[Metric::FalsePositiveRate.outcome(vi, ui)]);
-            fpm::Payload::merge(&mut dataset_counts, &mc);
-        }
-        let mut sink = crate::DivergenceFilterSink::new(ItemsetArena::new(), dataset_counts, 0.15);
+        let mut sink = crate::DivergenceFilterSink::new(
+            ItemsetArena::new(),
+            &metrics,
+            v.len(),
+            CountedCells::of_rows(&v, &u),
+            0.15,
+        );
         let stats = explorer
             .explore_into(&data, &v, &u, &metrics, &mut sink)
             .unwrap();

@@ -9,8 +9,9 @@
 use fpm::ItemsetSink;
 use serde::{Deserialize, Serialize};
 
-use crate::counts::MultiCounts;
+use crate::counts::{CountedCells, MetricCells, OutcomeCounts};
 use crate::item::ItemId;
+use crate::Metric;
 
 /// A Beta distribution used as the posterior of a Bernoulli positive rate.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -62,7 +63,13 @@ impl BetaPosterior {
     /// Welch t-statistic between two posteriors:
     /// `t = |μ₁ − μ₂| / √(ν₁ + ν₂)` (§3.3).
     pub fn welch_t(&self, other: &BetaPosterior) -> f64 {
-        (self.mean() - other.mean()).abs() / (self.variance() + other.variance()).sqrt()
+        other.welch_t_against()(self)
+    }
+
+    /// `p.welch_t(self)` for any `p`, this side's mean and variance computed once.
+    pub(crate) fn welch_t_against(&self) -> impl Fn(&BetaPosterior) -> f64 {
+        let (mean, variance) = (self.mean(), self.variance());
+        move |p| (p.mean() - mean).abs() / (p.variance() + variance).sqrt()
     }
 }
 
@@ -167,18 +174,26 @@ pub(crate) fn benjamini_hochberg_by(n: usize, p: impl Fn(usize) -> f64, q: f64) 
 #[derive(Debug)]
 pub struct SignificanceSink<S> {
     inner: S,
-    dataset_counts: MultiCounts,
+    /// Each metric's cells and its tallies over the whole dataset.
+    metrics: Vec<(MetricCells, OutcomeCounts)>,
     min_t: f64,
 }
 
 impl<S> SignificanceSink<S> {
-    /// Keeps patterns with `t ≥ min_t` under any tallied metric, judged
-    /// against the fixed dataset-level tallies.
-    pub fn new(inner: S, dataset_counts: MultiCounts, min_t: f64) -> Self {
+    /// Keeps patterns with `t ≥ min_t` under any of `metrics`, judged
+    /// against a dataset of `n_rows` rows whose cells are
+    /// `dataset_counts`.
+    pub fn new(
+        inner: S,
+        metrics: &[Metric],
+        n_rows: usize,
+        dataset_counts: CountedCells,
+        min_t: f64,
+    ) -> Self {
         assert!(min_t >= 0.0, "t threshold must be non-negative");
         SignificanceSink {
             inner,
-            dataset_counts,
+            metrics: MetricCells::with_dataset(metrics, n_rows, &dataset_counts),
             min_t,
         }
     }
@@ -189,13 +204,11 @@ impl<S> SignificanceSink<S> {
     }
 }
 
-impl<S: ItemsetSink<MultiCounts>> ItemsetSink<MultiCounts> for SignificanceSink<S> {
-    fn emit(&mut self, items: &[ItemId], support: u64, payload: &MultiCounts) {
-        let passes = (0..self.dataset_counts.len()).any(|m| {
-            let t = payload
-                .get(m)
-                .posterior()
-                .welch_t(&self.dataset_counts.get(m).posterior());
+impl<S: ItemsetSink<CountedCells>> ItemsetSink<CountedCells> for SignificanceSink<S> {
+    fn emit(&mut self, items: &[ItemId], support: u64, payload: &CountedCells) {
+        let passes = self.metrics.iter().any(|(cells, dataset)| {
+            let pattern = cells.counts(support, payload).posterior();
+            let t = pattern.welch_t(&dataset.posterior());
             t >= self.min_t
         });
         if passes {

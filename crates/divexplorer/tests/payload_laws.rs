@@ -3,7 +3,7 @@
 //! or the order in which a sink receives partial tallies (depth-first,
 //! breadth-first, per-thread shards) would change the result.
 
-use divexplorer::{MultiCounts, Outcome, OutcomeCounts};
+use divexplorer::{CountedCells, Metric, Outcome, OutcomeCounts};
 use fpm::Payload;
 use proptest::prelude::*;
 
@@ -27,17 +27,24 @@ fn outcome_counts() -> impl Strategy<Value = OutcomeCounts> {
     })
 }
 
-/// A random `MultiCounts` over a fixed number of metrics.
-fn multi_counts(n_metrics: usize) -> impl Strategy<Value = MultiCounts> {
-    proptest::collection::vec(proptest::collection::vec(outcome(), n_metrics), 0..20).prop_map(
-        move |rows| {
-            let mut acc = MultiCounts::empty(n_metrics);
-            for row in rows {
-                Payload::merge(&mut acc, &MultiCounts::from_outcomes(&row));
-            }
-            acc
-        },
-    )
+/// A random set of rows, each a `(v, u)` pair.
+fn rows() -> impl Strategy<Value = Vec<(bool, bool)>> {
+    proptest::collection::vec((any::<bool>(), any::<bool>()), 0..20)
+}
+
+/// The cells of `rows`, built the way the explorer builds them: merging
+/// per-row payloads. Returns the row count (the set's support) too.
+fn cells_of(rows: &[(bool, bool)]) -> (u64, CountedCells) {
+    let mut acc = CountedCells::zero();
+    for &(v, u) in rows {
+        acc.merge(&CountedCells::of_row(v, u));
+    }
+    (rows.len() as u64, acc)
+}
+
+/// A random `CountedCells`.
+fn counted_cells() -> impl Strategy<Value = CountedCells> {
+    rows().prop_map(|rows| cells_of(&rows).1)
 }
 
 fn merged<P: Payload>(a: &P, b: &P) -> P {
@@ -68,31 +75,39 @@ proptest! {
     }
 
     #[test]
-    fn multi_counts_identity(a in multi_counts(3)) {
-        // `Payload::zero()` has no metric count; identity must hold against
-        // the width-matched empty value the explorer actually uses.
-        prop_assert_eq!(merged(&MultiCounts::empty(3), &a), a);
-        prop_assert_eq!(merged(&a, &MultiCounts::empty(3)), a);
+    fn counted_cells_identity(a in counted_cells()) {
+        prop_assert_eq!(merged(&CountedCells::zero(), &a), a);
+        prop_assert_eq!(merged(&a, &CountedCells::zero()), a);
     }
 
     #[test]
-    fn multi_counts_commutativity(a in multi_counts(2), b in multi_counts(2)) {
+    fn counted_cells_commutativity(a in counted_cells(), b in counted_cells()) {
         prop_assert_eq!(merged(&a, &b), merged(&b, &a));
     }
 
     #[test]
-    fn multi_counts_associativity(
-        a in multi_counts(2), b in multi_counts(2), c in multi_counts(2)
+    fn counted_cells_associativity(
+        a in counted_cells(), b in counted_cells(), c in counted_cells()
     ) {
         prop_assert_eq!(merged(&merged(&a, &b), &c), merged(&a, &merged(&b, &c)));
     }
 
-    /// Merging per-metric is exactly the product monoid of `OutcomeCounts`.
+    /// Deriving a metric from merged cells equals merging the tallies
+    /// derived from each part, for every metric: the mined cells of a
+    /// pattern give each metric exactly the tallies its rows would.
     #[test]
-    fn multi_counts_is_the_product_monoid(a in multi_counts(3), b in multi_counts(3)) {
-        let ab = merged(&a, &b);
-        for m in 0..3 {
-            prop_assert_eq!(ab.get(m), merged(&a.get(m), &b.get(m)));
+    fn deriving_a_metric_commutes_with_merging(a in rows(), b in rows()) {
+        let (support_a, cells_a) = cells_of(&a);
+        let (support_b, cells_b) = cells_of(&b);
+        let cells = merged(&cells_a, &cells_b);
+        for metric in Metric::ALL {
+            let derived = cells.outcome_counts(support_a + support_b, metric);
+            let parts = merged(
+                &cells_a.outcome_counts(support_a, metric),
+                &cells_b.outcome_counts(support_b, metric),
+            );
+            prop_assert_eq!(derived, parts, "{}", metric);
+            prop_assert_eq!(u64::from(derived.total()), support_a + support_b);
         }
     }
 }

@@ -5,9 +5,10 @@
 //! Run with: cargo run --release --example streaming_sinks
 
 use divexplorer::{
-    DatasetBuilder, DivExplorer, DivergenceFilterSink, DivergenceReport, Metric, SignificanceSink,
+    CountedCells, DatasetBuilder, DivExplorer, DivergenceFilterSink, DivergenceReport, Metric,
+    SignificanceSink,
 };
-use fpm::{ItemsetArena, Payload};
+use fpm::ItemsetArena;
 
 fn main() {
     // One department concentrates the false positives.
@@ -24,19 +25,16 @@ fn main() {
     ];
     let metrics = [Metric::FalsePositiveRate];
 
-    // Dataset-level tallies are known before mining (line 2 of Algorithm 1).
-    let mut dataset_counts = divexplorer::MultiCounts::empty(1);
-    for (&vi, &ui) in v.iter().zip(&u) {
-        let mc =
-            divexplorer::MultiCounts::from_outcomes(&[Metric::FalsePositiveRate.outcome(vi, ui)]);
-        dataset_counts.merge(&mc);
-    }
+    // The dataset's confusion cells are known before mining (line 2 of
+    // Algorithm 1); each filter derives its metrics' dataset rates from
+    // them.
+    let dataset_counts = CountedCells::of_rows(&v, &u);
 
     // The sink stack: arena <- significance screen <- divergence filter.
     // Patterns failing either filter are never stored anywhere.
-    let arena: ItemsetArena<divexplorer::MultiCounts> = ItemsetArena::new();
-    let significant = SignificanceSink::new(arena, dataset_counts, 0.5);
-    let mut sink = DivergenceFilterSink::new(significant, dataset_counts, 0.1);
+    let arena: ItemsetArena<CountedCells> = ItemsetArena::new();
+    let significant = SignificanceSink::new(arena, &metrics, v.len(), dataset_counts, 0.5);
+    let mut sink = DivergenceFilterSink::new(significant, &metrics, v.len(), dataset_counts, 0.1);
 
     let explorer = DivExplorer::new(0.25);
     let stats = explorer
@@ -58,11 +56,10 @@ fn main() {
         stats.dataset_counts,
         store,
     );
-    for p in report.patterns() {
-        let idx = report.find(p.items).unwrap();
+    for idx in 0..report.len() {
         println!(
             "  {:<24} Δ={:+.3}  t={:.2}",
-            report.display_itemset(p.items),
+            report.display_itemset(report.items(idx)),
             report.divergence(idx, 0),
             report.t_statistic(idx, 0),
         );

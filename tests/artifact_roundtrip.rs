@@ -5,30 +5,11 @@
 //! surface typed errors — never panics, never silently wrong tallies.
 
 use datasets::artifact::{self, ArenaKey, ArtifactError};
-use divexplorer::{
-    DatasetBuilder, DiscreteDataset, DivExplorer, DivergenceReport, Metric, MAX_METRICS,
-};
+use divexplorer::{DatasetBuilder, DiscreteDataset, DivExplorer, DivergenceReport, Metric};
 use fpm::{Algorithm, ItemsetArena};
 use proptest::prelude::*;
 
 const METRICS: [Metric; 2] = [Metric::FalsePositiveRate, Metric::ErrorRate];
-
-/// Every metric, for the delta recount's two passes of at most
-/// `MAX_METRICS`.
-const ALL_METRICS: [Metric; 12] = [
-    Metric::FalsePositiveRate,
-    Metric::FalseNegativeRate,
-    Metric::ErrorRate,
-    Metric::Accuracy,
-    Metric::TruePositiveRate,
-    Metric::TrueNegativeRate,
-    Metric::PositivePredictiveValue,
-    Metric::NegativePredictiveValue,
-    Metric::FalseDiscoveryRate,
-    Metric::FalseOmissionRate,
-    Metric::PositiveRate,
-    Metric::PredictedPositiveRate,
-];
 
 /// The engine matrix from the acceptance criteria: each entry configures
 /// a `DivExplorer` whose mined lattice the artifact must reproduce.
@@ -204,15 +185,49 @@ proptest! {
                         delta.shard_stats().map_or(0, |s| s.recount_rows) as usize,
                         differing
                     );
-                    for pass in ALL_METRICS.chunks(MAX_METRICS) {
-                        let tag = format!("{flips} flips, t={threads} k={shards:?}, {pass:?}");
-                        let derived = knobs
-                            .report_from_tallies(&data, &candidates, &delta, pass)
-                            .unwrap();
-                        let cold = explorer.explore(&data, &v, target, pass).unwrap();
-                        assert_reports_bit_identical(&cold, &derived, &tag);
-                    }
+                    let tag = format!("{flips} flips, t={threads} k={shards:?}");
+                    let derived = knobs
+                        .report_from_tallies(&data, &candidates, &delta, &Metric::ALL)
+                        .unwrap();
+                    let cold = explorer.explore(&data, &v, target, &Metric::ALL).unwrap();
+                    assert_reports_bit_identical(&cold, &derived, &tag);
                 }
+            }
+        }
+    }
+
+    /// One cold pass over all 12 metrics gives each metric exactly what a
+    /// pass over that metric alone gives: the same patterns, tallies,
+    /// dataset rate, divergences and t-statistics, bit for bit.
+    #[test]
+    fn one_pass_over_every_metric_matches_single_metric_passes(
+        (data, v, u) in random_input(),
+        support in 0.05f64..0.5,
+    ) {
+        let explorer = DivExplorer::new(support);
+        let all = explorer.explore(&data, &v, &u, &Metric::ALL).unwrap();
+        prop_assert_eq!(all.metrics(), &Metric::ALL[..]);
+        for (m, metric) in Metric::ALL.into_iter().enumerate() {
+            let single = explorer.explore(&data, &v, &u, &[metric]).unwrap();
+            prop_assert_eq!(all.len(), single.len(), "{}", metric);
+            prop_assert_eq!(
+                all.dataset_rate(m).to_bits(),
+                single.dataset_rate(0).to_bits(),
+                "{}", metric
+            );
+            for idx in 0..single.len() {
+                let a = all.find(single.items(idx)).unwrap();
+                prop_assert_eq!(all.counts(a).get(m), single.counts(idx).get(0), "{}", metric);
+                prop_assert_eq!(
+                    all.divergence(a, m).to_bits(),
+                    single.divergence(idx, 0).to_bits(),
+                    "{}", metric
+                );
+                prop_assert_eq!(
+                    all.t_statistic(a, m).to_bits(),
+                    single.t_statistic(idx, 0).to_bits(),
+                    "{}", metric
+                );
             }
         }
     }
