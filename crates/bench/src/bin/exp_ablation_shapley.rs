@@ -77,7 +77,7 @@ fn main() {
     );
 
     let (snapshot, total) = session.finish();
-    let mut run = obs::RunReport::new("ablation_shapley", "adult", "fp-growth")
+    let mut run = obs::RunReport::new("ablation_shapley", "adult", telemetry::engine(&snapshot))
         .with_snapshot(&snapshot, "fpm.itemset_support");
     run.n_rows = 20_000;
     run.min_support = 0.05;

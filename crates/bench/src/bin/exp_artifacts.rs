@@ -139,7 +139,7 @@ fn main() {
         dataset_hash: hash,
         min_support_count: cold.min_support_count(),
         max_len: None,
-        engine: "fp-growth".to_string(),
+        engine: fpm::Algorithm::Dense.to_string(),
         n_rows: d.data.n_rows() as u64,
     };
     let arena_path = dir.join(artifact::arena_file_name(&key));
@@ -177,7 +177,7 @@ fn main() {
     assert_fails_closed(&dir);
 
     let (snapshot, total) = session.finish();
-    let mut run = obs::RunReport::new("artifacts", "artificial", "fp-growth")
+    let mut run = obs::RunReport::new("artifacts", "artificial", telemetry::engine(&snapshot))
         .with_snapshot(&snapshot, "fpm.itemset_support");
     run.n_rows = n as u64;
     run.min_support = SUPPORT;

@@ -49,7 +49,7 @@ fn main() {
     }
 
     let (snapshot, total) = session.finish();
-    let mut run = obs::RunReport::new("figure2", "compas", "fp-growth")
+    let mut run = obs::RunReport::new("figure2", "compas", telemetry::engine(&snapshot))
         .with_snapshot(&snapshot, "fpm.itemset_support");
     run.n_rows = 6172;
     run.min_support = 0.1;

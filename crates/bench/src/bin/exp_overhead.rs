@@ -105,7 +105,7 @@ fn main() {
         "disabled-telemetry overhead {overhead_ratio:.4} exceeds the 2% budget"
     );
 
-    let mut run = obs::RunReport::new("overhead", "compas", "fp-growth");
+    let mut run = obs::RunReport::new("overhead", "compas", "dense");
     run.n_rows = 6172;
     run.min_support = 0.01;
     run.patterns = patterns as u64;
@@ -162,7 +162,7 @@ fn main() {
         "always-on serve telemetry overhead {serve_ratio:.4} exceeds the 2% budget"
     );
 
-    let mut serve_run = obs::RunReport::new("overhead_serve", "compas", "fp-growth");
+    let mut serve_run = obs::RunReport::new("overhead_serve", "compas", "dense");
     serve_run.n_rows = 6172;
     serve_run.min_support = 0.01;
     serve_run.patterns = patterns as u64;

@@ -127,7 +127,7 @@ fn main() {
     );
 
     let (snapshot, total) = session.finish();
-    let mut run = obs::RunReport::new("slicefinder", "artificial", "fp-growth")
+    let mut run = obs::RunReport::new("slicefinder", "artificial", telemetry::engine(&snapshot))
         .with_snapshot(&snapshot, "fpm.itemset_support");
     run.n_rows = 50_000;
     run.min_support = 0.01;

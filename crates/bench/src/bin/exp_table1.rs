@@ -91,7 +91,7 @@ fn main() {
          instead of #prior>3 drops the Afr-Am/Male FPR below the pair's rate."
     );
 
-    let mut run = obs::RunReport::new("table1", "compas", "fp-growth")
+    let mut run = obs::RunReport::new("table1", "compas", telemetry::engine(&snapshot))
         .with_snapshot(&snapshot, "fpm.itemset_support");
     run.n_rows = 6172;
     run.min_support = 0.01;

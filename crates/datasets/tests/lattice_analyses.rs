@@ -8,8 +8,9 @@
 //! paper-scale cells are german, heart and bank at s = 0.05 (seed 42,
 //! metrics [FPR, FNR]), plus german reports that are not downward-closed:
 //! one filtered by divergence during mining and one cut by a budget.
-//! German at s = 0.02 (640,948 patterns) is ignored by default and meant
-//! for a release build:
+//! German at s = 0.02 (640,948 patterns), and the FDR screen over german
+//! at s = 0.01 (2,926,696 hypotheses) mined by FP-growth and by dense, are
+//! ignored by default and meant for a release build:
 //!
 //! ```text
 //! cargo test --release -p datasets --test lattice_analyses -- --ignored
@@ -27,7 +28,7 @@ use divexplorer::{
     CountedCells, DivExplorer, DivergenceFilterSink, DivergenceReport, ItemId, Metric, SortBy,
 };
 use fpm::closed::{condensation_flags_arena, CondensationFlags};
-use fpm::{Budget, ItemsetArena, Subset};
+use fpm::{Algorithm, Budget, ItemsetArena, Subset};
 
 const SEED: u64 = 42;
 const METRICS: [Metric; 2] = [Metric::FalsePositiveRate, Metric::FalseNegativeRate];
@@ -416,4 +417,56 @@ fn a_budget_truncated_german_report() {
 #[ignore = "640,948 patterns: run in release with --ignored"]
 fn german_at_two_percent_support() {
     check_lattice(&explore(DatasetId::German, 0.02));
+}
+
+/// Benjamini–Hochberg at q = 0.05 over german at s = 0.01, per metric.
+/// The sequence equals the reference, and patterns with equal p-values
+/// come in ascending report index. Ties are the rule here: FNR flags
+/// 3,662 patterns with 36 distinct p-values, because patterns with equal
+/// tallies share one. (No p-value on this lattice underflows to 0: the
+/// largest |t| is 7.27, and p reaches 0 near t = 8.3.) FP-growth and
+/// dense emit in different orders, so their sequences may differ, but
+/// they flag the same set of itemsets.
+#[test]
+#[ignore = "2,926,696 hypotheses per metric: run in release with --ignored"]
+fn fdr_over_german_at_one_percent_support() {
+    const FLAGGED: [usize; 2] = [0, 3_662];
+    let t = DatasetId::German.generate(SEED);
+    let mut flagged_sets = Vec::new();
+    for algorithm in [Algorithm::FpGrowth, Algorithm::Dense] {
+        let report = DivExplorer::new(0.01)
+            .with_algorithm(algorithm)
+            .explore(&t.data, &t.v, &t.u, &METRICS)
+            .unwrap();
+        assert!(report.is_exploration_complete());
+        assert_eq!(report.len(), 2_926_696, "{algorithm}");
+        let mut sets = Vec::new();
+        for (m, expected) in FLAGGED.into_iter().enumerate() {
+            let p_values: Vec<f64> = (0..report.len())
+                .map(|idx| report.p_value(idx, m))
+                .collect();
+            let flagged = report.significant_at_fdr(m, 0.05);
+            assert_eq!(flagged.len(), expected, "{algorithm} m={m}");
+            assert_eq!(
+                flagged,
+                reference_benjamini_hochberg(&p_values, 0.05),
+                "{algorithm} m={m}"
+            );
+            let order = |a: usize, b: usize| (p_values[a], a).partial_cmp(&(p_values[b], b));
+            assert!(
+                flagged
+                    .windows(2)
+                    .all(|w| order(w[0], w[1]) == Some(std::cmp::Ordering::Less)),
+                "{algorithm} m={m}: equal p-values keep report order"
+            );
+            let mut set: Vec<Vec<ItemId>> = flagged
+                .iter()
+                .map(|&idx| report.items(idx).to_vec())
+                .collect();
+            set.sort_unstable();
+            sets.push(set);
+        }
+        flagged_sets.push(sets);
+    }
+    assert_eq!(flagged_sets[0], flagged_sets[1], "FP-growth vs dense");
 }

@@ -4,7 +4,7 @@
 //! Patterns live in an [`ItemsetArena`] — one flat item buffer plus a
 //! record per pattern — so building a report from a mining run moves the
 //! arena in without copying a single itemset, and lookups share the
-//! arena's lazily built itemset → id index. Each 32-byte record holds the
+//! arena's lazily built itemset → id index. Each 24-byte record holds the
 //! pattern's [`CountedCells`]; per-metric values are derived on read.
 
 use std::cmp::Ordering;
@@ -321,7 +321,11 @@ impl DivergenceReport {
     /// Pattern indices whose divergence is significant under
     /// Benjamini–Hochberg false-discovery-rate control at level `q` —
     /// the multiple-comparisons-aware way to screen an exhaustive
-    /// exploration. Sorted by ascending p-value.
+    /// exploration. Sorted by ascending p-value; equal p-values keep
+    /// report order (ascending index). Past `t ≈ 8.3` the p-value is
+    /// exactly 0, so on a large lattice many flagged patterns tie. The
+    /// sequence therefore follows the mining engine's emission order;
+    /// the set of flagged patterns does not depend on the engine.
     pub fn significant_at_fdr(&self, m: usize, q: f64) -> Vec<usize> {
         let _span = obs::span("stats.fdr");
         let t = self.t_statistics(m);

@@ -1,5 +1,8 @@
 //! Dataset schema: named attributes with finite, discrete value domains.
 
+use std::fmt;
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::item::{Item, ItemId};
@@ -42,12 +45,42 @@ impl Attribute {
 /// one value per attribute, no frequent itemset can contain two items of the
 /// same attribute — the itemset well-formedness condition of §3.1 holds by
 /// construction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Schema {
+///
+/// Every dataset, report and artifact built from one table holds its
+/// schema, so the storage sits behind one [`Arc`]: a clone shares it, and
+/// cloning or dropping a schema costs O(1) whatever its size. Equality,
+/// `Debug` output and the JSON form are those of the two fields.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Schema(Arc<Parts>);
+
+/// The storage a [`Schema`] and its clones share.
+#[derive(PartialEq, Eq, Serialize, Deserialize)]
+struct Parts {
     attributes: Vec<Attribute>,
     /// `offsets[a]` is the first item id of attribute `a`;
     /// `offsets[n]` is the total item count.
     offsets: Vec<u32>,
+}
+
+impl fmt::Debug for Schema {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Schema")
+            .field("attributes", &self.0.attributes)
+            .field("offsets", &self.0.offsets)
+            .finish()
+    }
+}
+
+impl Serialize for Schema {
+    fn to_value(&self) -> serde::Value {
+        self.0.to_value()
+    }
+}
+
+impl Deserialize for Schema {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        Parts::from_value(v).map(|parts| Schema(Arc::new(parts)))
+    }
 }
 
 impl Schema {
@@ -60,74 +93,77 @@ impl Schema {
             total += attr.cardinality() as u32;
             offsets.push(total);
         }
-        Schema {
+        Schema(Arc::new(Parts {
             attributes,
             offsets,
-        }
+        }))
     }
 
     /// Number of attributes `|A|`.
     pub fn n_attributes(&self) -> usize {
-        self.attributes.len()
+        self.0.attributes.len()
     }
 
     /// Total number of items `Σ_a m_a` (the mining item-universe size).
     pub fn n_items(&self) -> u32 {
-        *self.offsets.last().unwrap()
+        *self.0.offsets.last().unwrap()
     }
 
     /// The attributes in order.
     pub fn attributes(&self) -> &[Attribute] {
-        &self.attributes
+        &self.0.attributes
     }
 
     /// The attribute at index `a`.
     pub fn attribute(&self, a: usize) -> &Attribute {
-        &self.attributes[a]
+        &self.0.attributes[a]
     }
 
     /// Looks up an attribute index by name.
     pub fn attribute_index(&self, name: &str) -> Option<usize> {
-        self.attributes.iter().position(|attr| attr.name == name)
+        self.0.attributes.iter().position(|attr| attr.name == name)
     }
 
     /// Domain cardinality `m_a` of attribute `a`.
     pub fn cardinality(&self, a: usize) -> usize {
-        self.attributes[a].cardinality()
+        self.0.attributes[a].cardinality()
     }
 
     /// Global item id of `(attribute a, value code c)`.
     pub fn item_id(&self, a: usize, c: usize) -> ItemId {
         debug_assert!(c < self.cardinality(a), "value code out of domain");
-        self.offsets[a] + c as u32
+        self.0.offsets[a] + c as u32
     }
 
     /// Inverse of [`Schema::item_id`].
     pub fn decode(&self, id: ItemId) -> Item {
         debug_assert!(id < self.n_items(), "item id out of schema");
         // offsets is sorted; find the attribute whose range contains id.
-        let a = match self.offsets.binary_search(&id) {
-            Ok(pos) if pos < self.attributes.len() => pos,
+        let a = match self.0.offsets.binary_search(&id) {
+            Ok(pos) if pos < self.0.attributes.len() => pos,
             Ok(pos) => pos - 1,
             Err(pos) => pos - 1,
         };
         Item {
             attribute: a as u16,
-            value: (id - self.offsets[a]) as u16,
+            value: (id - self.0.offsets[a]) as u16,
         }
     }
 
     /// Looks up the item id for `"attr"` and `"value"` display names.
     pub fn item_by_name(&self, attribute: &str, value: &str) -> Option<ItemId> {
         let a = self.attribute_index(attribute)?;
-        let c = self.attributes[a].values.iter().position(|v| v == value)?;
+        let c = self.0.attributes[a]
+            .values
+            .iter()
+            .position(|v| v == value)?;
         Some(self.item_id(a, c))
     }
 
     /// Renders one item as `attr=value`.
     pub fn display_item(&self, id: ItemId) -> String {
         let item = self.decode(id);
-        let attr = &self.attributes[item.attribute as usize];
+        let attr = &self.0.attributes[item.attribute as usize];
         format!("{}={}", attr.name, attr.values[item.value as usize])
     }
 
@@ -230,6 +266,46 @@ mod tests {
         assert_eq!(s.item_by_name("age", "25-45"), Some(3));
         assert_eq!(s.item_by_name("age", "nope"), None);
         assert_eq!(s.item_by_name("nope", "M"), None);
+    }
+
+    #[test]
+    fn a_clone_shares_its_storage() {
+        let s = schema();
+        let c = s.clone();
+        assert!(Arc::ptr_eq(&s.0, &c.0), "a clone must not copy the schema");
+        assert_eq!(c, s);
+        // Equality compares contents, not storage.
+        assert_eq!(schema(), s);
+        assert!(!Arc::ptr_eq(&schema().0, &s.0));
+        assert_ne!(Schema::new(vec![Attribute::new("sex", ["M", "F"])]), s);
+    }
+
+    /// The `Debug` and JSON forms are those of the two fields, as when
+    /// they were the struct's own. The dataset hash of `.dxd` artifacts
+    /// hashes that JSON, so it must not move by a byte.
+    #[test]
+    fn debug_and_json_forms_are_the_fields() {
+        let s = schema();
+        assert_eq!(
+            format!("{s:?}"),
+            "Schema { attributes: [\
+             Attribute { name: \"sex\", values: [\"M\", \"F\"] }, \
+             Attribute { name: \"age\", values: [\"<25\", \"25-45\", \">45\"] }, \
+             Attribute { name: \"race\", values: [\"Afr-Am\", \"Cauc\"] }], \
+             offsets: [0, 2, 5, 7] }"
+        );
+        let json = serde_json::to_string(&s).unwrap();
+        assert_eq!(
+            json,
+            "{\"attributes\":[\
+             {\"name\":\"sex\",\"values\":[\"M\",\"F\"]},\
+             {\"name\":\"age\",\"values\":[\"<25\",\"25-45\",\">45\"]},\
+             {\"name\":\"race\",\"values\":[\"Afr-Am\",\"Cauc\"]}],\
+             \"offsets\":[0,2,5,7]}"
+        );
+        let back: Schema = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, s);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 
     #[test]

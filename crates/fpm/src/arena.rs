@@ -20,12 +20,26 @@ use crate::sink::ItemsetSink;
 use crate::transaction::ItemId;
 
 /// One stored itemset: a view into the arena's flat item buffer.
+///
+/// Offsets and supports are `u32`, like the engines' row ids, so a
+/// record with a 12-byte payload (the explorer's confusion cells) takes
+/// 24 bytes, not 32: a lattice costs a quarter less record memory to
+/// hold, and to free when its report drops. An arena therefore holds
+/// fewer than 2^32 items in total, with supports below 2^32.
 #[derive(Debug, Clone)]
 struct Record<P> {
-    offset: usize,
+    offset: u32,
     len: u32,
-    support: u64,
+    support: u32,
     payload: P,
+}
+
+impl<P> Record<P> {
+    /// The record's range in the flat item buffer.
+    fn range(&self) -> std::ops::Range<usize> {
+        let start = self.offset as usize;
+        start..start + self.len as usize
+    }
 }
 
 /// Where the immediate subset `items(id) ∖ {items(id)[j]}` of a stored
@@ -134,12 +148,12 @@ impl<P> ItemsetArena<P> {
             "items must be canonical"
         );
         self.index.take();
-        let offset = self.items.len();
+        let offset = u32::try_from(self.items.len()).expect("an arena holds fewer than 2^32 items");
         self.items.extend_from_slice(items);
         self.recs.push(Record {
             offset,
             len: items.len() as u32,
-            support,
+            support: u32::try_from(support).expect("supports count rows, which fit in u32"),
             payload,
         });
         self.recs.len() - 1
@@ -147,12 +161,11 @@ impl<P> ItemsetArena<P> {
 
     /// The items of itemset `id`.
     pub fn items(&self, id: usize) -> &[ItemId] {
-        let rec = &self.recs[id];
-        &self.items[rec.offset..rec.offset + rec.len as usize]
+        &self.items[self.recs[id].range()]
     }
 
     pub fn support(&self, id: usize) -> u64 {
-        self.recs[id].support
+        u64::from(self.recs[id].support)
     }
 
     pub fn payload(&self, id: usize) -> &P {
@@ -167,8 +180,8 @@ impl<P> ItemsetArena<P> {
     pub fn entry(&self, id: usize) -> ArenaEntry<'_, P> {
         let rec = &self.recs[id];
         ArenaEntry {
-            items: &self.items[rec.offset..rec.offset + rec.len as usize],
-            support: rec.support,
+            items: &self.items[rec.range()],
+            support: u64::from(rec.support),
             payload: &rec.payload,
         }
     }
@@ -185,8 +198,7 @@ impl<P> ItemsetArena<P> {
         self.index.take();
         let items = std::mem::take(&mut self.items);
         self.recs.sort_by(|a, b| {
-            let ia = &items[a.offset..a.offset + a.len as usize];
-            let ib = &items[b.offset..b.offset + b.len as usize];
+            let (ia, ib) = (&items[a.range()], &items[b.range()]);
             ia.len().cmp(&ib.len()).then_with(|| ia.cmp(ib))
         });
         self.items = items;
@@ -197,9 +209,13 @@ impl<P> ItemsetArena<P> {
     pub fn absorb(&mut self, other: ItemsetArena<P>) {
         self.index.take();
         let shift = self.items.len();
+        assert!(
+            u32::try_from(shift + other.items.len()).is_ok(),
+            "an arena holds fewer than 2^32 items"
+        );
         self.items.extend_from_slice(&other.items);
         self.recs.extend(other.recs.into_iter().map(|mut rec| {
-            rec.offset += shift;
+            rec.offset += shift as u32;
             rec
         }));
     }
@@ -230,8 +246,7 @@ impl<P> ItemsetArena<P> {
     pub fn subsets(&self, id: usize) -> &[SubsetEdge] {
         let index = self.slice_index();
         let edges = index.subsets.get_or_init(|| index.build_subsets(self));
-        let rec = &self.recs[id];
-        &edges[rec.offset..rec.offset + rec.len as usize]
+        &edges[self.recs[id].range()]
     }
 
     /// Materializes the arena into the seed representation (one `Vec`
@@ -241,8 +256,8 @@ impl<P> ItemsetArena<P> {
         self.recs
             .into_iter()
             .map(|rec| FrequentItemset {
-                items: items[rec.offset..rec.offset + rec.len as usize].to_vec(),
-                support: rec.support,
+                items: items[rec.range()].to_vec(),
+                support: u64::from(rec.support),
                 payload: rec.payload,
             })
             .collect()
@@ -367,8 +382,8 @@ impl SliceIndex {
         let mut edges = vec![SubsetEdge::ABSENT; arena.items.len()];
         let mut buf: Vec<ItemId> = Vec::new();
         for rec in &arena.recs {
-            let items = &arena.items[rec.offset..rec.offset + rec.len as usize];
-            let out = &mut edges[rec.offset..rec.offset + items.len()];
+            let items = &arena.items[rec.range()];
+            let out = &mut edges[rec.range()];
             match items.len() {
                 0 => {}
                 1 => out[0] = SubsetEdge::EMPTY,
@@ -409,6 +424,25 @@ mod tests {
     use crate::payload::CountPayload;
     use crate::transaction::TransactionDb;
     use crate::{Algorithm, MiningParams};
+
+    /// A record with the explorer's 12-byte confusion cells is 24 bytes;
+    /// supports and offsets round-trip up to 2^32 − 1.
+    #[test]
+    fn records_are_compact_and_hold_32_bit_supports() {
+        assert_eq!(std::mem::size_of::<Record<[u32; 3]>>(), 24);
+        let mut arena = ItemsetArena::new();
+        arena.push(&[0, 1], u64::from(u32::MAX), [1u32, 2, 3]);
+        arena.push(&[2], 7, [4, 5, 6]);
+        assert_eq!(arena.support(0), u64::from(u32::MAX));
+        assert_eq!(arena.items(1), &[2]);
+        assert_eq!(arena.entry(1).support, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "supports count rows")]
+    fn a_support_beyond_32_bits_is_refused() {
+        ItemsetArena::new().push(&[0], 1 << 32, ());
+    }
 
     fn sample_arena() -> ItemsetArena<CountPayload> {
         let mut arena = ItemsetArena::new();

@@ -22,7 +22,8 @@
 //! # Span model
 //!
 //! [`span`] returns a RAII guard: entering emits a `span_enter` event,
-//! dropping the guard emits `span_exit` with the measured duration.
+//! dropping the guard emits `span_exit` with the measured duration,
+//! rounded to the nearest microsecond.
 //! Span ids come from a global atomic counter, so concurrent spans from
 //! parallel workers never collide. Timestamps are assigned *by the
 //! recorder* (under its own lock for NDJSON), which makes the event
@@ -49,7 +50,7 @@ pub use stats::{SpanStat, StatsRecorder, StatsSnapshot};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A telemetry backend. All methods take `&self`: recorders are shared
 /// across threads (parallel mining workers record concurrently).
@@ -57,7 +58,8 @@ pub trait Recorder: Send + Sync {
     /// A named span was entered. `id` pairs this with its exit.
     fn span_enter(&self, name: &'static str, id: u64);
 
-    /// The span `id` exited after `dur_us` microseconds.
+    /// The span `id` exited after `dur_us` microseconds (rounded to the
+    /// nearest one).
     fn span_exit(&self, name: &'static str, id: u64, dur_us: u64);
 
     /// Adds `delta` to the named monotone counter.
@@ -187,10 +189,16 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(s) = self.0.take() {
-            let dur_us = s.start.elapsed().as_micros() as u64;
-            with(|r| r.span_exit(s.name, s.id, dur_us));
+            with(|r| r.span_exit(s.name, s.id, round_to_micros(s.start.elapsed())));
         }
     }
+}
+
+/// `d` in whole microseconds, rounded to the nearest one (halves round
+/// up). Truncating would drop up to 1 µs from every span, which a trace
+/// of sub-millisecond work can no longer attribute.
+fn round_to_micros(d: Duration) -> u64 {
+    ((d.as_nanos() + 500) / 1000) as u64
 }
 
 /// A recorder that fans every event out to each inner recorder, e.g.
@@ -280,6 +288,17 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), ids.len());
+    }
+
+    #[test]
+    fn spans_round_to_the_nearest_microsecond() {
+        let us = |ns| round_to_micros(Duration::from_nanos(ns));
+        assert_eq!(us(1_499), 1);
+        assert_eq!(us(1_500), 2);
+        assert_eq!(us(600), 1);
+        assert_eq!(us(499), 0);
+        assert_eq!(us(0), 0);
+        assert_eq!(round_to_micros(Duration::from_millis(3)), 3_000);
     }
 
     #[test]

@@ -30,7 +30,9 @@ fn trace_is_valid_ndjson_monotone_and_span_balanced() {
         std::io::BufWriter::new(file),
     )));
     let d = compas();
+    // FP-growth, so the trace carries its tree-build span too.
     let report = DivExplorer::new(0.05)
+        .with_algorithm(Algorithm::FpGrowth)
         .explore(&d.data, &d.v, &d.u, &[Metric::FalsePositiveRate])
         .expect("explore");
     obs::uninstall(); // flushes the BufWriter through the recorder
@@ -134,6 +136,17 @@ fn every_miner_emits_its_phase_span_and_matching_counters() {
             .unwrap_or_else(|| panic!("{algo:?} must publish the support histogram"));
         assert_eq!(hist.count(), report.len() as u64, "{algo:?}");
     }
+
+    // The library's default engine is dense.
+    let recorder = std::sync::Arc::new(obs::StatsRecorder::new());
+    obs::install(recorder.clone());
+    DivExplorer::new(0.05)
+        .explore(&d.data, &d.v, &d.u, &[Metric::FalsePositiveRate])
+        .expect("explore");
+    obs::uninstall();
+    let snap = recorder.snapshot();
+    assert_eq!(snap.span("fpm.mine.dense").map(|s| s.count), Some(1));
+    assert!(snap.span("fpm.mine.fp-growth").is_none());
 }
 
 /// A request scope must attribute the whole exploration — including
