@@ -199,6 +199,14 @@ impl StatsSnapshot {
         self.latencies.iter().find(|(n, _)| n == op).map(|(_, h)| h)
     }
 
+    /// The mining engine of the recorded run, as its `fpm.mine.<engine>`
+    /// span names it; `None` if the run mined nothing.
+    pub fn engine(&self) -> Option<&str> {
+        self.spans
+            .iter()
+            .find_map(|(name, _)| name.strip_prefix("fpm.mine."))
+    }
+
     /// Renders the multi-line human summary printed by `--stats`.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -314,6 +322,17 @@ mod tests {
         );
         assert_eq!(snap.span("other"), None, "unclosed spans don't aggregate");
         assert_eq!(snap.open_spans, 1);
+    }
+
+    #[test]
+    fn the_engine_is_read_from_its_mine_span() {
+        let rec = StatsRecorder::new();
+        rec.span_enter("explore.mine", 1);
+        rec.span_exit("explore.mine", 1, 10);
+        assert_eq!(rec.snapshot().engine(), None);
+        rec.span_enter("fpm.mine.dense", 2);
+        rec.span_exit("fpm.mine.dense", 2, 9);
+        assert_eq!(rec.snapshot().engine(), Some("dense"));
     }
 
     #[test]
