@@ -1,7 +1,6 @@
-//! Ablation: the production mining backends (FP-growth, Eclat, dense,
-//! sharded) on the same exploration workload. The paper couples
-//! DivExplorer with FP-growth; this bench compares that default against
-//! the others.
+//! Ablation: the production mining backends (FP-growth, Eclat, dense) on
+//! the same exploration workload. The paper couples DivExplorer with
+//! FP-growth; this bench compares that default against the others.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datasets::DatasetId;

@@ -187,27 +187,6 @@ pub mod telemetry {
         }
     }
 
-    /// Flattens the sharded engine's [`fpm::ShardStats`] into the
-    /// report's `shard_*` fields — the standard way a bench captures
-    /// per-phase timings, the memory model and a cut phase, with no
-    /// custom counter plumbing.
-    pub fn apply_shard_stats(report: &mut RunReport, stats: &fpm::ShardStats) {
-        report.shard_count = Some(stats.n_shards as u64);
-        report.shards_mined = Some(stats.shards_mined);
-        report.shard_candidates = Some(stats.candidates);
-        report.shard_recount_rows = Some(stats.recount_rows);
-        report.shard_mine_us = Some(stats.mine_us);
-        report.shard_recount_us = Some(stats.recount_us);
-        report.shard_peak_bytes = Some(stats.peak_shard_bytes);
-        report.shard_candidate_bytes = Some(stats.candidate_bytes);
-        report.shard_truncated_phase = stats.truncated_phase.map(|p| p.to_string());
-        report.shard_io_wait_us = Some(stats.io_wait_us);
-        report.shard_overlap_ratio = Some(stats.overlap_ratio());
-        report.shard_compressed_bytes =
-            (stats.compressed_bytes > 0).then_some(stats.compressed_bytes);
-        report.shard_compression_ratio = stats.compression_ratio();
-    }
-
     /// Records which counting kernel this process dispatches to, so a
     /// report's timings can be compared against runs on other hardware
     /// (or with `FPM_KERNEL` forced).

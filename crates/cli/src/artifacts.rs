@@ -3,7 +3,7 @@
 //! `index` runs the expensive part once — encode the dataset, mine the
 //! frequent lattice — and persists both as checksummed artifacts.
 //! `analyze --artifact` then re-analyzes any number of times by
-//! streaming recount ([`divexplorer::DivExplorer::from_artifact`]),
+//! recount ([`divexplorer::DivExplorer::from_artifact`]),
 //! never re-mining. `probe` validates an artifact's envelope and prints
 //! its header without decoding the sections.
 //!
@@ -23,12 +23,7 @@ use datasets::artifact::{self, ArenaKey};
 use datasets::artifact_io::DiskIo;
 use divexplorer::DiscreteDataset;
 
-use crate::{explorer_from_args, prepare, render_explore, Args, CliError, IndexFormat, RunStatus};
-
-/// Shard count for `index --format dxs` when `--shards` is not given:
-/// enough windows that a later out-of-core recount holds a fraction of
-/// the rows resident, without fragmenting small datasets.
-const DEFAULT_INDEX_SHARDS: usize = 8;
+use crate::{explorer_from_args, prepare, render_explore, Args, CliError, RunStatus};
 
 fn input_err(context: &dyn std::fmt::Display, e: &dyn std::fmt::Display) -> CliError {
     CliError::Input(format!("{context}: {e}"))
@@ -60,19 +55,6 @@ pub fn run_index(args: &Args, content: &str, out: &mut String) -> Result<(), Cli
     let hash = artifact::save_dataset(&dataset_path, &prepared.data, &prepared.v, &prepared.u)
         .map_err(|e| input_err(&dataset_path.display(), &e))?;
 
-    let shards_line = if args.format == IndexFormat::Dxs {
-        let n_shards = args.shards.unwrap_or(DEFAULT_INDEX_SHARDS);
-        let shards_path = dir.join(artifact::shards_file_name(&args.name));
-        let shards_hash = artifact::save_shards(&shards_path, &prepared.data, n_shards)
-            .map_err(|e| input_err(&shards_path.display(), &e))?;
-        Some(format!(
-            "shards: {n_shards} windows, hash {shards_hash:016x} -> {}",
-            shards_path.display()
-        ))
-    } else {
-        None
-    };
-
     let key = ArenaKey::new(hash, prepared.data.n_rows(), args.support, args.engine);
     let arena_path = dir.join(artifact::arena_file_name(&key));
     artifact::save_arena(&arena_path, &key, &candidates)
@@ -85,9 +67,6 @@ pub fn run_index(args: &Args, content: &str, out: &mut String) -> Result<(), Cli
         prepared.data.n_rows(),
         dataset_path.display()
     );
-    if let Some(line) = shards_line {
-        let _ = writeln!(out, "{line}");
-    }
     let _ = writeln!(
         out,
         "lattice: {} patterns at support >= {} ({} rows) -> {}",
@@ -112,7 +91,7 @@ pub(crate) fn mine_lattice(
     v: &[bool],
     u: &[bool],
 ) -> Result<fpm::ItemsetArena<()>, CliError> {
-    let report = explorer_from_args(args, data.n_rows())?
+    let report = explorer_from_args(args)
         .explore(data, v, u, &args.metrics)
         .map_err(|e| CliError::Input(e.to_string()))?;
     if let Some(reason) = report.completeness().truncation_reason() {
@@ -137,7 +116,7 @@ pub fn run_analyze(args: &Args, out: &mut String) -> Result<RunStatus, CliError>
     let dataset_path = dir.join(artifact::dataset_file_name(&args.name));
     let ds = artifact::load_dataset(&dataset_path)
         .map_err(|e| input_err(&dataset_path.display(), &e))?;
-    let explorer = explorer_from_args(args, ds.data.n_rows())?;
+    let explorer = explorer_from_args(args);
 
     let key = ArenaKey::new(ds.hash, ds.data.n_rows(), args.support, args.engine);
     let arena_path = dir.join(artifact::arena_file_name(&key));

@@ -104,33 +104,13 @@ pub struct Args {
     pub stats: bool,
     /// Mining engine backing the exploration.
     pub engine: fpm::Algorithm,
-    /// Mine through the sharded two-pass engine with this many row
-    /// shards (bit-identical results at a fraction of the peak memory).
-    pub shards: Option<usize>,
-    /// Worker threads for mining and the sharded recount pass.
+    /// Worker threads for mining (the recount is sequential).
     pub threads: usize,
-    /// Shards to load ahead of the recount workers (0 = inline IO).
-    pub prefetch: usize,
     /// Artifact path: a file for `probe`, the registry directory for
     /// `index`, `analyze` and `serve`.
     pub artifact: String,
     /// Dataset name in the artifact registry (`index`, `analyze`).
     pub name: String,
-    /// On-disk layout written by `index`: `dxd` persists the dense
-    /// dataset artifact only; `dxs` additionally persists compressed
-    /// columnar shards for out-of-core recounts.
-    pub format: IndexFormat,
-}
-
-/// The artifact layout `index` writes (`--format`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexFormat {
-    /// Dataset (`.dxd`) + lattice (`.dxa`) artifacts only.
-    Dxd,
-    /// Additionally persist dictionary-encoded, bit-packed row shards
-    /// (`.dxs`) so later recounts can stream one decoded shard at a
-    /// time instead of materializing the dense dataset.
-    Dxs,
 }
 
 /// The supported subcommands.
@@ -234,15 +214,15 @@ USAGE:
 ARTIFACTS:
   `index` encodes the dataset and mines + persists its frequent lattice as
   checksummed artifacts under DIR; `analyze` re-analyzes from them with a
-  streaming recount (no mining phase) — use the same --support/--engine as
-  the index run so the registry key matches (--threads, --shards and
-  --prefetch never enter the key). `serve` answers NDJSON requests
+  recount (no mining phase) — use the same --support/--engine as the
+  index run so the registry key matches (--threads never enters the
+  key). `serve` answers NDJSON requests
   (register/mine/query/stats/metrics/trace/shutdown) on stdin, one JSON
   reply per line, caching lattices in memory and in DIR when given. A
-  request may set support, engine, metric, top, bins, threads, shards and
-  prefetch as fields named like the flags, checked by the same rules
-  (numbers as JSON numbers, never strings). Registry writes are
-  crash-safe (temp file + fsync + atomic rename); a corrupt lattice
+  request may set support, engine, metric, top, bins and threads as
+  fields named like the flags, checked by the same rules (numbers as
+  JSON numbers, never strings). Registry writes are crash-safe (temp
+  file + fsync + atomic rename); a corrupt lattice
   artifact is quarantined (*.quarantine) and rebuilt by re-mining, and
   serve isolates every request (panics and expired deadlines fail soft,
   the loop continues).
@@ -280,20 +260,11 @@ OPTIONS:
   --trace-json FILE  stream telemetry (spans, counters, histograms) to FILE
                      as newline-delimited JSON
   --stats            print an aggregated telemetry summary to stderr
-  --engine NAME      mining engine: fp-growth, eclat, dense (class-mask
-                     popcount counting), or sharded (two-pass partitioned
-                     mining); the registry key records it [fp-growth]
-  --shards N         split the data into N row shards (1 <= N <= rows) and
-                     mine through the sharded two-pass engine; results are
-                     bit-identical to a one-pass run but peak mining memory
-                     is roughly one shard plus the candidate set
-  --threads N        worker threads (N >= 1) for mining and the sharded
-                     recount pass; at most one per root subtree runs [1]
-  --prefetch D       load up to D shards ahead of the recount workers so
-                     IO overlaps counting (needs --shards; 0 = inline) [0]
-  --format F         index: dxd writes the dataset + lattice artifacts;
-                     dxs additionally writes compressed columnar shards
-                     (NAME.dxs) for out-of-core recounts [dxd]
+  --engine NAME      mining engine: fp-growth, eclat or dense (class-mask
+                     popcount counting); the registry key records it
+                     [fp-growth]
+  --threads N        worker threads (N >= 1) for mining; at most one per
+                     root subtree runs, and the recount stays sequential [1]
 
 EXIT CODES:
   0 success    2 usage error    3 bad input    4 truncated by budget
@@ -342,12 +313,9 @@ impl Args {
             trace_json: None,
             stats: false,
             engine: fpm::Algorithm::FpGrowth,
-            shards: None,
             threads: 1,
-            prefetch: 0,
             artifact: String::new(),
             name: String::new(),
-            format: IndexFormat::Dxd,
         };
         while let Some(flag) = it.next() {
             let mut value = |name: &str| -> Result<String, CliError> {
@@ -359,7 +327,7 @@ impl Args {
                 "--label" => args.label = value(&flag)?,
                 "--pred" => args.pred = value(&flag)?,
                 "--support" | "--engine" | "--metric" | "--top" | "--bins" | "--threads"
-                | "--shards" | "--prefetch" | "--prune" | "--fdr" => {
+                | "--prune" | "--fdr" => {
                     let raw = value(&flag)?;
                     set_knob(&mut args, &flag[2..], &raw)
                         .map_err(|e| CliError::Usage(format!("{flag}: {e}")))?
@@ -383,7 +351,6 @@ impl Args {
                 "--stats" => args.stats = true,
                 "--artifact" => args.artifact = value(&flag)?,
                 "--name" => args.name = value(&flag)?,
-                "--format" => args.format = parse_format(&value(&flag)?)?,
                 other => return Err(CliError::Usage(format!("unknown flag '{other}'"))),
             }
         }
@@ -436,21 +403,10 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, CliError> {
         .map_err(|_| CliError::Usage(format!("{flag}: cannot parse '{s}'")))
 }
 
-fn parse_format(s: &str) -> Result<IndexFormat, CliError> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "dxd" => Ok(IndexFormat::Dxd),
-        "dxs" => Ok(IndexFormat::Dxs),
-        other => Err(CliError::Usage(format!(
-            "unknown artifact format '{other}' (expected dxd or dxs)"
-        ))),
-    }
-}
-
 /// The knobs `serve` requests share with the command line, each settable
 /// per request under the flag's name without the dashes.
-pub(crate) const SHARED_KNOBS: [&str; 8] = [
-    "support", "engine", "metric", "top", "bins", "threads", "shards", "prefetch",
-];
+pub(crate) const SHARED_KNOBS: [&str; 6] =
+    ["support", "engine", "metric", "top", "bins", "threads"];
 
 /// Parses and range-checks one knob value into `args`: the one rule
 /// behind both the `--KNOB` flags and serve's request fields (the
@@ -480,8 +436,6 @@ pub(crate) fn set_knob(args: &mut Args, knob: &str, raw: &str) -> Result<(), Str
         "top" => args.top = count(raw, 0)?,
         "bins" => args.bins = count(raw, 1)?,
         "threads" => args.threads = count(raw, 1)?,
-        "shards" => args.shards = Some(count(raw, 1)?),
-        "prefetch" => args.prefetch = count(raw, 0)?,
         "prune" => args.prune = Some(number(raw, |e| e.is_finite() && e >= 0.0, "finite, >= 0")?),
         "fdr" => args.fdr = Some(number(raw, |q| (0.0..=1.0).contains(&q), "in [0, 1]")?),
         other => unreachable!("'{other}' is not a knob"),
@@ -494,9 +448,8 @@ fn parse_engine(s: &str) -> Result<fpm::Algorithm, String> {
         "fp-growth" => Ok(fpm::Algorithm::FpGrowth),
         "eclat" => Ok(fpm::Algorithm::Eclat),
         "dense" => Ok(fpm::Algorithm::Dense),
-        "sharded" => Ok(fpm::Algorithm::Sharded),
         other => Err(format!(
-            "unknown engine '{other}' (expected fp-growth, eclat, dense, or sharded)"
+            "unknown engine '{other}' (expected fp-growth, eclat or dense)"
         )),
     }
 }
@@ -662,10 +615,8 @@ impl Telemetry {
 }
 
 /// The [`DivExplorer`] configured by `args` — the one builder behind the
-/// cold commands, `index`, `analyze` and every `serve` request. A shard
-/// count above the table's `n_rows` is a usage error: the shard windows
-/// would be empty, and a huge count would spin forever building them.
-pub(crate) fn explorer_from_args(args: &Args, n_rows: usize) -> Result<DivExplorer, CliError> {
+/// cold commands, `index`, `analyze` and every `serve` request.
+pub(crate) fn explorer_from_args(args: &Args) -> DivExplorer {
     let mut budget = fpm::Budget::unlimited();
     if let Some(ms) = args.timeout_ms {
         budget = budget.with_timeout(std::time::Duration::from_millis(ms));
@@ -676,20 +627,10 @@ pub(crate) fn explorer_from_args(args: &Args, n_rows: usize) -> Result<DivExplor
     if let Some(d) = args.max_depth {
         budget = budget.with_max_depth(d);
     }
-    let mut explorer = DivExplorer::new(args.support)
+    DivExplorer::new(args.support)
         .with_algorithm(args.engine)
         .with_threads(args.threads)
-        .with_prefetch(args.prefetch)
-        .with_budget(budget);
-    if let Some(k) = args.shards {
-        if k > n_rows {
-            return Err(CliError::Usage(format!(
-                "--shards {k} exceeds the dataset's {n_rows} rows"
-            )));
-        }
-        explorer = explorer.with_shards(k);
-    }
-    Ok(explorer)
+        .with_budget(budget)
 }
 
 /// Renders an `explore`-style report (table or `--json`) including the
@@ -748,8 +689,8 @@ pub(crate) fn render_explore(
     Ok(completeness_status(report, out))
 }
 
-/// The shared completeness tail: prints the truncation warning (naming
-/// the cut shard phase when one applies) and returns the status.
+/// The shared completeness tail: prints the truncation warning and
+/// returns the status.
 fn completeness_status(report: &divexplorer::DivergenceReport, out: &mut String) -> RunStatus {
     match *report.completeness() {
         fpm::Completeness::Truncated {
@@ -758,19 +699,11 @@ fn completeness_status(report: &divexplorer::DivergenceReport, out: &mut String)
             elapsed,
         } => {
             // Report the miner's own verdict verbatim (reason, itemsets
-            // kept, wall clock) so partial results are auditable. A
-            // sharded run additionally names the phase the budget cut —
-            // a mine-phase cut lost candidates, a recount-phase cut lost
-            // every result (the engine never emits unverified counts).
-            let phase_note = report
-                .shard_stats()
-                .and_then(|s| s.truncated_phase)
-                .map(|phase| format!("; the {phase} phase was cut"))
-                .unwrap_or_default();
+            // kept, wall clock) so partial results are auditable.
             let _ = writeln!(
                 out,
                 "warning: exploration truncated ({reason}) after {emitted} itemsets \
-                 in {:.1}ms{phase_note} — results above are partial",
+                 in {:.1}ms — results above are partial",
                 elapsed.as_secs_f64() * 1e3
             );
             RunStatus::Truncated(reason)
@@ -807,7 +740,7 @@ pub fn run_with_content(
         run_fairness(args, &prepared, out)?;
         return Ok(RunStatus::Complete);
     }
-    let report = explorer_from_args(args, prepared.data.n_rows())?
+    let report = explorer_from_args(args)
         .explore(&prepared.data, &prepared.v, &prepared.u, &args.metrics)
         .map_err(|e| CliError::Input(e.to_string()))?;
     let truncation = report.completeness().truncation_reason();
@@ -1160,14 +1093,13 @@ age,grp,y,yhat
             ("fp-growth", fpm::Algorithm::FpGrowth),
             ("eclat", fpm::Algorithm::Eclat),
             ("dense", fpm::Algorithm::Dense),
-            ("sharded", fpm::Algorithm::Sharded),
         ] {
             let mut argv = base_args("explore");
             argv.extend(["--engine".to_string(), name.to_string()]);
             assert_eq!(Args::parse(argv).unwrap().engine, algo, "{name}");
         }
 
-        for name in ["quantum", "apriori", "eclat-bitset"] {
+        for name in ["quantum", "apriori", "eclat-bitset", "sharded"] {
             let mut argv = base_args("explore");
             argv.extend(["--engine".to_string(), name.to_string()]);
             assert!(
@@ -1185,7 +1117,7 @@ age,grp,y,yhat
             run_with_content(&args, CSV, &mut out).unwrap();
             out
         };
-        for name in ["eclat", "dense", "sharded"] {
+        for name in ["eclat", "dense"] {
             let mut argv = base_args("explore");
             argv.extend(["--engine".to_string(), name.to_string()]);
             let args = Args::parse(argv).unwrap();
@@ -1283,36 +1215,6 @@ age,grp,y,yhat
     }
 
     #[test]
-    fn shards_flag_parses_and_rejects_zero() {
-        let mut argv = base_args("explore");
-        argv.extend(["--shards".to_string(), "3".to_string()]);
-        assert_eq!(Args::parse(argv).unwrap().shards, Some(3));
-
-        let mut argv = base_args("explore");
-        argv.extend(["--shards".to_string(), "0".to_string()]);
-        assert!(matches!(Args::parse(argv), Err(CliError::Usage(_))));
-    }
-
-    #[test]
-    fn sharded_explore_matches_the_default_engine() {
-        let reference = {
-            let args = Args::parse(base_args("explore")).unwrap();
-            let mut out = String::new();
-            run_with_content(&args, CSV, &mut out).unwrap();
-            out
-        };
-        for shards in ["1", "2", "5"] {
-            let mut argv = base_args("explore");
-            argv.extend(["--shards".to_string(), shards.to_string()]);
-            let args = Args::parse(argv).unwrap();
-            let mut out = String::new();
-            let status = run_with_content(&args, CSV, &mut out).unwrap();
-            assert_eq!(status, RunStatus::Complete, "shards {shards}");
-            assert_eq!(out, reference, "shards {shards}");
-        }
-    }
-
-    #[test]
     fn prune_and_fdr_reject_values_their_analyses_cannot_take() {
         // A value the analysis would assert on is a usage error up front.
         // The knobs shared with serve have their table in `serve::tests`.
@@ -1340,7 +1242,7 @@ age,grp,y,yhat
     }
 
     #[test]
-    fn huge_thread_bin_and_shard_counts_neither_abort_nor_hang() {
+    fn huge_thread_and_bin_counts_neither_abort_nor_hang() {
         // Counts far beyond the data must not size an allocation or a loop.
         let reference = explore_output(base_args("explore"), CSV).unwrap();
         let mut argv = base_args("explore");
@@ -1356,93 +1258,43 @@ age,grp,y,yhat
             explore_output(huge, NUMERIC_CSV).unwrap(),
             explore_output(per_value, NUMERIC_CSV).unwrap()
         );
-
-        // A shard count above the row count is a typed usage error, and
-        // `index` refuses it before writing anything.
-        let dir = artifact_temp_dir("huge-shards").join("registry");
-        for mut argv in [base_args("explore"), index_args(&dir)] {
-            argv.extend(["--shards".to_string(), "1000000000000".to_string()]);
-            let err = explore_output(argv, CSV).unwrap_err();
-            assert!(matches!(err, CliError::Usage(_)), "{err}");
-            assert!(err.to_string().contains("--shards"), "{err}");
-        }
-        assert!(!dir.exists(), "a refused index leaves no registry behind");
-        let _ = std::fs::remove_dir_all(dir.parent().unwrap());
     }
 
     #[test]
-    fn threads_and_prefetch_flags_parse_and_reject_bad_values() {
+    fn threads_flag_parses_and_rejects_bad_values() {
         let mut argv = base_args("explore");
-        argv.extend([
-            "--threads".to_string(),
-            "4".to_string(),
-            "--prefetch".to_string(),
-            "2".to_string(),
-        ]);
-        let args = Args::parse(argv).unwrap();
-        assert_eq!(args.threads, 4);
-        assert_eq!(args.prefetch, 2);
+        argv.extend(["--threads".to_string(), "4".to_string()]);
+        assert_eq!(Args::parse(argv).unwrap().threads, 4);
 
-        let mut argv = base_args("explore");
-        argv.extend(["--threads".to_string(), "0".to_string()]);
-        assert!(matches!(Args::parse(argv), Err(CliError::Usage(_))));
-
-        let mut argv = base_args("explore");
-        argv.extend(["--prefetch".to_string(), "nope".to_string()]);
-        assert!(matches!(Args::parse(argv), Err(CliError::Usage(_))));
-    }
-
-    #[test]
-    fn piped_sharded_explore_matches_the_default_engine() {
-        let reference = {
-            let args = Args::parse(base_args("explore")).unwrap();
-            let mut out = String::new();
-            run_with_content(&args, CSV, &mut out).unwrap();
-            out
-        };
-        for (threads, prefetch) in [("4", "0"), ("1", "2"), ("4", "2")] {
+        for bad in ["0", "nope"] {
             let mut argv = base_args("explore");
-            argv.extend([
-                "--shards".to_string(),
-                "3".to_string(),
-                "--threads".to_string(),
-                threads.to_string(),
-                "--prefetch".to_string(),
-                prefetch.to_string(),
-            ]);
-            let args = Args::parse(argv).unwrap();
-            let mut out = String::new();
-            let status = run_with_content(&args, CSV, &mut out).unwrap();
-            assert_eq!(status, RunStatus::Complete, "t={threads} d={prefetch}");
-            assert_eq!(out, reference, "t={threads} d={prefetch}");
+            argv.extend(["--threads".to_string(), bad.to_string()]);
+            assert!(
+                matches!(Args::parse(argv), Err(CliError::Usage(_))),
+                "{bad}"
+            );
         }
     }
 
     #[test]
-    fn truncated_sharded_run_names_the_cut_phase() {
-        // An already-expired deadline trips in the mine phase; the
-        // warning must say which phase was lost, not just the count.
+    fn the_retired_shard_flags_and_engine_are_usage_errors() {
+        // The flags of the retired shard pipeline fail like any unknown
+        // flag, naming it, with a value that used to be valid.
+        for (flag, value) in [("--shards", "3"), ("--prefetch", "2"), ("--format", "dxs")] {
+            let mut argv = base_args("explore");
+            argv.extend([flag.to_string(), value.to_string()]);
+            let err = Args::parse(argv).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{flag}: {err}");
+            assert!(err.to_string().contains(flag), "{flag}: {err}");
+        }
         let mut argv = base_args("explore");
-        argv.extend([
-            "--shards".to_string(),
-            "2".to_string(),
-            "--timeout-ms".to_string(),
-            "0".to_string(),
-        ]);
-        let args = Args::parse(argv).unwrap();
-        let mut out = String::new();
-        let status = run_with_content(&args, CSV, &mut out).unwrap();
-        assert_eq!(status, RunStatus::Truncated(fpm::TruncationReason::Timeout));
-        assert_eq!(status.exit_code(), 4);
-        assert!(out.contains("the mine phase was cut"), "got: {out}");
-
-        // A plain (unsharded) truncated run keeps the old message shape.
-        let mut argv = base_args("explore");
-        argv.extend(["--max-itemsets".to_string(), "2".to_string()]);
-        let args = Args::parse(argv).unwrap();
-        let mut out = String::new();
-        run_with_content(&args, CSV, &mut out).unwrap();
-        assert!(!out.contains("phase was cut"), "got: {out}");
+        argv.extend(["--engine".to_string(), "sharded".to_string()]);
+        let err = Args::parse(argv).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(err.to_string().contains("sharded"), "{err}");
+        for engine in ["fp-growth", "eclat", "dense"] {
+            assert!(err.to_string().contains(engine), "{err}");
+        }
     }
 
     fn artifact_temp_dir(tag: &str) -> std::path::PathBuf {
@@ -1535,88 +1387,42 @@ age,grp,y,yhat
     }
 
     #[test]
-    fn index_format_dxs_writes_probeable_compressed_shards() {
-        // Unknown formats are a usage error before any IO happens.
-        let mut bad = index_args(std::path::Path::new("unused"));
-        bad.extend(["--format".to_string(), "zip".to_string()]);
-        assert!(matches!(Args::parse(bad), Err(CliError::Usage(_))));
-
-        let dir = artifact_temp_dir("dxs");
-        let mut argv = index_args(&dir);
-        argv.extend([
-            "--format".to_string(),
-            "dxs".to_string(),
-            "--shards".to_string(),
-            "3".to_string(),
-        ]);
-        let args = Args::parse(argv).unwrap();
-        let mut out = String::new();
-        run_with_content(&args, CSV, &mut out).unwrap();
-        assert!(out.contains("shards: 3 windows"), "got: {out}");
-
-        let shards_path = dir.join("toy.dxs");
-        let probe = Args::parse(vec![
-            "probe".to_string(),
-            "--artifact".to_string(),
-            shards_path.to_str().unwrap().to_string(),
-        ])
-        .unwrap();
-        let mut probed = String::new();
-        artifacts::run_probe(&probe, &mut probed).unwrap();
-        assert!(probed.contains("kind:     shards"), "got: {probed}");
-
-        // The decoded shards reconstruct the indexed dataset exactly.
-        use fpm::ShardSource as _;
-        let source = datasets::artifact::load_shards(&shards_path).unwrap();
-        let args = Args::parse(index_args(&dir)).unwrap();
-        let prepared = prepare(CSV, &args).unwrap();
-        let db = prepared.data.to_transactions();
-        let mut seen = 0usize;
-        for k in 0..source.n_shards() {
-            let shard = source.open(k).materialize();
-            for r in 0..shard.db.len() {
-                assert_eq!(shard.db.transaction(r), db.transaction(shard.start_row + r));
-            }
-            seen += shard.db.len();
-        }
-        assert_eq!(seen, prepared.data.n_rows());
-
-        // README's out-of-core flow: the shard count steers how `index`
-        // mines, never the registry key, so a plain `analyze` finds the
-        // lattice and reproduces the cold explore byte for byte.
-        let analyze = Args::parse(vec![
-            "analyze".to_string(),
-            "--artifact".to_string(),
-            dir.to_str().unwrap().to_string(),
-            "--name".to_string(),
-            "toy".to_string(),
-            "--support".to_string(),
-            "0.25".to_string(),
-        ])
-        .unwrap();
-        let mut warm = String::new();
-        let status = artifacts::run_analyze(&analyze, &mut warm).unwrap();
-        assert_eq!(status, RunStatus::Complete);
-        assert_eq!(warm, explore_output(base_args("explore"), CSV).unwrap());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn probe_prints_the_artifact_header() {
         let dir = artifact_temp_dir("probe");
         let args = Args::parse(index_args(&dir)).unwrap();
         run_with_content(&args, CSV, &mut String::new()).unwrap();
 
-        let probe = Args::parse(vec![
-            "probe".to_string(),
-            "--artifact".to_string(),
-            dir.join("toy.dxd").to_str().unwrap().to_string(),
-        ])
-        .unwrap();
-        let mut out = String::new();
-        artifacts::run_probe(&probe, &mut out).unwrap();
+        let probe_of = |path: &std::path::Path| {
+            let probe = Args::parse(vec![
+                "probe".to_string(),
+                "--artifact".to_string(),
+                path.to_str().unwrap().to_string(),
+            ])
+            .unwrap();
+            let mut out = String::new();
+            artifacts::run_probe(&probe, &mut out).unwrap();
+            out
+        };
+        let dataset = dir.join("toy.dxd");
+        let out = probe_of(&dataset);
         assert!(out.contains("kind:     dataset"), "got: {out}");
         assert!(out.contains("version:  1"), "got: {out}");
+
+        // An old `.dxs` file still probes by its kind number, 3: the same
+        // envelope with the kind rewritten and the checksum resealed.
+        let mut bytes = std::fs::read(&dataset).unwrap();
+        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let end = bytes.len() - 8;
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &b in &bytes[..end] {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        bytes[end..].copy_from_slice(&h.to_le_bytes());
+        let old = dir.join("toy.dxs");
+        std::fs::write(&old, &bytes).unwrap();
+        let out = probe_of(&old);
+        assert!(out.contains("kind:     shards"), "got: {out}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -32,7 +32,8 @@
 //! unknown op yields `{"ok":false,"error":...}` and the loop continues.
 //! Only `shutdown` (or end of input) ends the loop. `register`, `mine`
 //! and `query` take the CLI's `SHARED_KNOBS` as fields, checked by the
-//! flags' own rules.
+//! flags' own rules; the retired `shards` and `prefetch` fields fail the
+//! request by name.
 //!
 //! # Fault model (see DESIGN.md §6h)
 //!
@@ -88,7 +89,7 @@ use std::time::{Duration, Instant};
 
 use datasets::artifact::{self, ArenaKey, DatasetArtifact};
 use datasets::artifact_io::{self, DiskIo};
-use divexplorer::{ArenaCache, DivExplorer, LatticeTallies, SortBy};
+use divexplorer::{ArenaCache, LatticeTallies, SortBy};
 use fpm::{ItemsetArena, TruncationReason};
 use obs::LiveRecorder;
 use serde_json::Value;
@@ -433,13 +434,23 @@ fn require(request: &Value, key: &str) -> Result<String, Value> {
     str_field(request, key).ok_or_else(|| fail(format!("'{key}' (string) is required")))
 }
 
+/// Request fields of the retired shard pipeline. serve ignores unknown
+/// fields, so these are refused by name rather than silently dropped.
+const REMOVED_FIELDS: [&str; 2] = ["shards", "prefetch"];
+
 /// The request's own [`Args`]: the session's flags with the request's
 /// [`SHARED_KNOBS`] fields overlaid, each checked by the command line's
 /// own rule ([`set_knob`]). Numeric knobs take JSON numbers only — a
 /// string `"0.1"` is never coerced — and `--request-timeout-ms` becomes
-/// the exploration deadline. A malformed field fails the request before
-/// any side effect; an absent one keeps the flag's value.
+/// the exploration deadline. A malformed field, or one of the
+/// [`REMOVED_FIELDS`], fails the request before any side effect; an
+/// absent one keeps the flag's value.
 fn request_args(args: &Args, request: &Value) -> Result<Args, Value> {
+    if let Some(field) = REMOVED_FIELDS.iter().find(|f| !request[**f].is_null()) {
+        return Err(fail(format!(
+            "'{field}' was removed: mining and the recount run on the resident table"
+        )));
+    }
     let mut overlaid = args.clone();
     for knob in SHARED_KNOBS {
         let raw = match (&request[knob], matches!(knob, "engine" | "metric")) {
@@ -706,22 +717,19 @@ fn truncation_failure(reason: TruncationReason, what: &str) -> Value {
 /// the on-disk registry through [`artifact::resolve_lattice`] (verify,
 /// quarantine a poisoned slot, mine, write through), or a plain cold
 /// mine without `--artifact`. Every recovery step lands in `warnings`.
-/// Also returns the request's explorer, built first so a bad shard count
-/// fails before any cache or registry access.
 fn ensure_lattice(
     state: &mut ServeState,
     args: &Args,
     name: &str,
     warnings: &mut Vec<String>,
-) -> Result<(Arc<ItemsetArena<()>>, &'static str, DivExplorer), Value> {
+) -> Result<(Arc<ItemsetArena<()>>, &'static str), Value> {
     let reg = state
         .datasets
         .get(name)
         .ok_or_else(|| fail(format!("dataset '{name}' is not registered")))?;
-    let explorer = explorer_from_args(args, reg.data.n_rows()).map_err(|e| fail(e.to_string()))?;
     let key = ArenaKey::new(reg.hash, reg.data.n_rows(), args.support, args.engine);
     if let Some(arena) = state.cache.get(&key) {
-        return Ok((arena, "cache", explorer));
+        return Ok((arena, "cache"));
     }
     let mine = || {
         mine_lattice(args, &reg.data, &reg.v, &reg.u).map_err(|e| match e {
@@ -746,7 +754,7 @@ fn ensure_lattice(
     };
     let arena = Arc::new(lattice);
     state.cache.insert(key, Arc::clone(&arena));
-    Ok((arena, source, explorer))
+    Ok((arena, source))
 }
 
 /// Appends the warnings array to a successful response, if any.
@@ -766,7 +774,7 @@ fn handle_mine(state: &mut ServeState, args: &Args, request: &Value) -> Result<V
     let name = require(request, "name")?;
     let args = request_args(args, request)?;
     let mut warnings = Vec::new();
-    let (arena, source, _) = ensure_lattice(state, &args, &name, &mut warnings)?;
+    let (arena, source) = ensure_lattice(state, &args, &name, &mut warnings)?;
     Ok(with_warnings(
         ok(
             "mine",
@@ -831,14 +839,14 @@ fn handle_query(state: &mut ServeState, args: &Args, request: &Value) -> Result<
         Some(bool_vector(&request["u"], n_rows)?)
     };
     let mut warnings = Vec::new();
-    let (arena, source, explorer) = ensure_lattice(state, &args, &name, &mut warnings)?;
+    let (arena, source) = ensure_lattice(state, &args, &name, &mut warnings)?;
     let reg = &state.datasets[&name];
+    let explorer = explorer_from_args(&args);
 
     // The warm path (see DESIGN.md §6g): the registered predictions'
     // base tallies, tallied on the first query of this lattice; an
     // inline `u` recounts only the rows where it differs from them. No
-    // mining phase runs, and the scale knobs drive whichever recount
-    // runs — same tallies, different wall clock.
+    // mining phase runs.
     let base = base_tallies(&mut state.bases, &name, &arena, || {
         explorer
             .tally_lattice(&reg.data, &arena, &reg.v, &reg.u)
@@ -1190,7 +1198,7 @@ b,y,0,1
         );
         assert_eq!(responses[1]["ok"].as_bool(), Some(false));
         let error = responses[1]["error"].as_str().unwrap();
-        for engine in ["fp-growth", "eclat", "dense", "sharded"] {
+        for engine in ["fp-growth", "eclat", "dense"] {
             assert!(error.contains(engine), "{error}");
         }
         assert_eq!(registry_files(), files);
@@ -1237,18 +1245,19 @@ b,y,0,1
         let csv_path = dir.join("toy.csv");
         std::fs::write(&csv_path, CSV).unwrap();
         let register = register_line(&csv_path);
-        // Malformed knobs are hard errors (no silent CLI-default
-        // fallback, no side effects); well-formed knobs change the
-        // execution pipeline but never the tallies.
+        // Malformed knobs and the retired shard fields are hard errors
+        // (no silent CLI-default fallback, no side effects); a
+        // well-formed thread count changes the mining engine but never
+        // the tallies.
         let responses = drive(
             &serve_args(""),
             &[
                 &register,
                 r#"{"op":"mine","name":"toy","support":0.25,"threads":"4"}"#,
-                r#"{"op":"query","name":"toy","support":0.25,"shards":0}"#,
-                r#"{"op":"query","name":"toy","support":0.25,"prefetch":1.5}"#,
+                r#"{"op":"query","name":"toy","support":0.25,"shards":3}"#,
+                r#"{"op":"query","name":"toy","support":0.25,"prefetch":2}"#,
                 r#"{"op":"query","name":"toy","support":0.25,"top":3}"#,
-                r#"{"op":"query","name":"toy","support":0.25,"top":3,"threads":4,"shards":3,"prefetch":2}"#,
+                r#"{"op":"query","name":"toy","support":0.25,"top":3,"threads":4}"#,
                 r#"{"op":"stats"}"#,
             ],
         );
@@ -1274,8 +1283,8 @@ b,y,0,1
         );
         assert_eq!(responses[4]["patterns"], responses[5]["patterns"]);
         assert_eq!(responses[4]["results"], responses[5]["results"]);
-        // The malformed-shards query must not have mined anything: the
-        // first well-formed query is the one that reports "mined".
+        // The refused queries must not have mined anything: the first
+        // well-formed query is the one that reports "mined".
         assert_eq!(responses[4]["source"].as_str(), Some("mined"));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1283,12 +1292,13 @@ b,y,0,1
     /// (knob, command-line value, request JSON value): each value breaks
     /// the knob's one rule. JSON cannot spell NaN, so the request side
     /// uses a string where the command line uses a non-number.
-    const BAD_KNOBS: [(&str, &str, &str); 17] = [
+    const BAD_KNOBS: [(&str, &str, &str); 16] = [
         ("support", "0", "0"),
         ("support", "1.5", "1.5"),
         ("support", "-0.25", "-0.25"),
         ("support", "nan", r#""0.25""#),
         ("engine", "apriori", r#""apriori""#),
+        ("engine", "sharded", r#""sharded""#),
         ("metric", "NOPE", r#""NOPE""#),
         ("metric", "FPR,FPR", r#""FPR,FPR""#),
         ("top", "-1", "-1"),
@@ -1297,10 +1307,9 @@ b,y,0,1
         ("bins", "-3", r#""3""#),
         ("threads", "0", "0"),
         ("threads", "1.5", "1.5"),
-        ("shards", "0", "0"),
-        ("shards", "-2", "-2"),
-        ("prefetch", "-1", "-1"),
-        ("prefetch", "0.5", "0.5"),
+        // The retired shard pipeline's knobs, at values they used to take.
+        ("shards", "3", "3"),
+        ("prefetch", "2", "2"),
     ];
 
     #[test]
@@ -1437,47 +1446,6 @@ b,y,0,1
         let stats = &responses[6];
         assert_eq!(stats["panics"].as_u64(), Some(0), "{stats:?}");
         assert_eq!(stats["datasets"].as_u64(), Some(2), "{stats:?}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_registry_indexed_with_shards_is_served_from_its_artifact() {
-        // `index --shards` and serve key the lattice alike, so serve
-        // loads the indexed `.dxa` instead of mining a second copy.
-        let dir = temp_dir("sharded-index");
-        let registry = dir.join("registry");
-        let argv = format!(
-            "index --input mem.csv --label y --pred yhat --support 0.25 --name toy \
-             --format dxs --shards 3 --artifact {}",
-            registry.display()
-        );
-        let index = Args::parse(argv.split_whitespace().map(String::from)).unwrap();
-        crate::run_with_content(&index, CSV, &mut String::new()).unwrap();
-
-        let register = format!(
-            r#"{{"op":"register","name":"toy","artifact":"{}"}}"#,
-            registry.join("toy.dxd").display()
-        );
-        let responses = drive(
-            &serve_args(registry.to_str().unwrap()),
-            &[&register, r#"{"op":"mine","name":"toy","support":0.25}"#],
-        );
-        assert_eq!(
-            responses[1]["source"].as_str(),
-            Some("artifact"),
-            "{responses:?}"
-        );
-        let dxa = std::fs::read_dir(&registry)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .path()
-                    .extension()
-                    .is_some_and(|x| x == "dxa")
-            })
-            .count();
-        assert_eq!(dxa, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1646,7 +1614,7 @@ a,y,1,0
         csv_args.label = "y".to_string();
         csv_args.pred = "yhat".to_string();
         let prepared = prepare(CSV, &csv_args).unwrap();
-        let library = DivExplorer::new(0.25)
+        let library = divexplorer::DivExplorer::new(0.25)
             .explore(
                 &prepared.data,
                 &prepared.v,

@@ -17,7 +17,7 @@
 //! ```text
 //! magic            b"DIVX"                      4 bytes
 //! format version   u32                          [`FORMAT_VERSION`]
-//! kind             u32                          1 = dataset, 2 = arena, 3 = shards
+//! kind             u32                          1 = dataset, 2 = arena
 //! dataset hash     u64                          FNV-1a over schema + codes
 //! section count    u32
 //! section table    count × { tag u32, offset u64, len u64 }
@@ -36,11 +36,9 @@
 //! bit-identically (asserted by the round-trip proptests).
 
 use std::path::Path;
-use std::sync::Mutex;
 
 pub use divexplorer::ArenaKey;
 use divexplorer::{DiscreteDataset, DivergenceReport, Schema};
-use fpm::kernels::AlignedWords;
 use fpm::ItemsetArena;
 
 use crate::artifact_io::{atomic_write, ArtifactIo, DiskIo};
@@ -57,7 +55,9 @@ pub const KIND_DATASET: u32 = 1;
 /// Header `kind` of a mined-arena artifact.
 pub const KIND_ARENA: u32 = 2;
 
-/// Header `kind` of a compressed sharded-dataset artifact (`.dxs`).
+/// Header `kind` of the retired compressed row-shard artifact (`.dxs`).
+/// No reader decodes it any more; the number stays reserved so it is
+/// never reused, and [`probe`] still names an old file's kind.
 pub const KIND_SHARDS: u32 = 3;
 
 const SEC_SCHEMA: u32 = 1;
@@ -66,8 +66,6 @@ const SEC_ITEM_BITS: u32 = 3;
 const SEC_LABELS: u32 = 4;
 const SEC_KEY: u32 = 1;
 const SEC_ITEMSETS: u32 = 2;
-const SEC_SHARD_DIR: u32 = 3;
-const SEC_SHARD_CODES: u32 = 4;
 
 /// Why an artifact failed to load. Every corruption mode maps to a
 /// variant — loading untrusted bytes never panics.
@@ -713,368 +711,6 @@ pub fn load_arena_with(
 }
 
 // ---------------------------------------------------------------------
-// Sharded dataset artifacts (.dxs)
-
-/// Bits needed to store a code in `[0, cardinality)`. Single-value
-/// attributes cost zero bits — the column is omitted entirely.
-fn code_width(cardinality: usize) -> u32 {
-    if cardinality <= 1 {
-        0
-    } else {
-        usize::BITS - (cardinality - 1).leading_zeros()
-    }
-}
-
-/// Encoded size of one shard's code blob: each column is bit-packed at
-/// its own width and padded to a whole little-endian `u64` word.
-fn shard_blob_bytes(rows: usize, widths: &[u32]) -> usize {
-    widths
-        .iter()
-        .map(|&w| (rows * w as usize).div_ceil(64) * 8)
-        .sum()
-}
-
-/// Serializes a dataset into a compressed columnar shard artifact
-/// (`.dxs`): the schema is the item dictionary, and each of the
-/// `n_shards` row windows stores its value codes column-major,
-/// bit-packed at `ceil(log2(cardinality))` bits per code. Shard windows
-/// match [`fpm::MemShardSource`]'s split (`k·n/K .. (k+1)·n/K`), so a
-/// sharded mine over the decoded source is bit-identical to one over
-/// the resident dataset.
-///
-/// # Panics
-///
-/// Panics if `n_shards == 0`.
-pub fn encode_shards(data: &DiscreteDataset, n_shards: usize) -> Vec<u8> {
-    assert!(n_shards > 0, "need at least one shard");
-    let n_rows = data.n_rows();
-    let schema = data.schema();
-    let n_attrs = data.n_attributes();
-    let widths: Vec<u32> = (0..n_attrs)
-        .map(|a| code_width(schema.cardinality(a)))
-        .collect();
-    let mut w = Writer::new(KIND_SHARDS, dataset_hash(data));
-
-    let schema_json = serde_json::to_string(schema).expect("schema serialization is infallible");
-    w.section(SEC_SCHEMA, schema_json.into_bytes());
-
-    let mut shape = Vec::with_capacity(20);
-    shape.extend_from_slice(&(n_rows as u64).to_le_bytes());
-    shape.extend_from_slice(&(n_attrs as u32).to_le_bytes());
-    shape.extend_from_slice(&schema.n_items().to_le_bytes());
-    shape.extend_from_slice(&(n_shards as u32).to_le_bytes());
-    w.section(SEC_SHAPE, shape);
-
-    let mut dir = Vec::with_capacity(n_shards * 32);
-    let mut codes = Vec::new();
-    for k in 0..n_shards {
-        let start = k * n_rows / n_shards;
-        let end = (k + 1) * n_rows / n_shards;
-        let offset = codes.len() as u64;
-        for (a, &width) in widths.iter().enumerate() {
-            if width == 0 {
-                continue;
-            }
-            let mut word = 0u64;
-            let mut bits = 0u32;
-            for r in start..end {
-                let code = data.row(r)[a] as u64;
-                word |= code << bits;
-                bits += width;
-                if bits >= 64 {
-                    codes.extend_from_slice(&word.to_le_bytes());
-                    bits -= 64;
-                    // High bits of the straddling code carry over.
-                    word = if bits > 0 { code >> (width - bits) } else { 0 };
-                }
-            }
-            if bits > 0 {
-                codes.extend_from_slice(&word.to_le_bytes());
-            }
-        }
-        dir.extend_from_slice(&(start as u64).to_le_bytes());
-        dir.extend_from_slice(&((end - start) as u64).to_le_bytes());
-        dir.extend_from_slice(&offset.to_le_bytes());
-        dir.extend_from_slice(&(codes.len() as u64 - offset).to_le_bytes());
-    }
-    w.section(SEC_SHARD_DIR, dir);
-    w.section(SEC_SHARD_CODES, codes);
-    w.finish()
-}
-
-/// One decoded shard window: its row range and its still-compressed
-/// column codes, decoded on demand by [`CompressedShardSource::open`].
-#[derive(Debug)]
-struct ShardEntry {
-    start_row: usize,
-    n_rows: usize,
-    codes: Vec<u8>,
-}
-
-/// A validated `.dxs` artifact serving shards to the two-pass engine.
-///
-/// The resident footprint is the *compressed* columns plus the schema;
-/// each [`fpm::ShardSource::open`] decodes one shard window into a
-/// transaction database on demand (staging the packed words through a
-/// pooled [`AlignedWords`] buffer), so peak decoded memory under the
-/// recount pipeline is one shard per counting/prefetch slot. Every code
-/// and the content hash were validated at load time — decoding never
-/// re-inspects untrusted bytes.
-#[derive(Debug)]
-pub struct CompressedShardSource {
-    schema: Schema,
-    n_rows: usize,
-    widths: Vec<u32>,
-    shards: Vec<ShardEntry>,
-    hash: u64,
-    pool: Mutex<Vec<AlignedWords>>,
-}
-
-impl CompressedShardSource {
-    /// [`dataset_hash`] of the encoded table, from the verified header.
-    pub fn hash(&self) -> u64 {
-        self.hash
-    }
-
-    /// Total encoded (bit-packed) code bytes across all shards — the
-    /// numerator-free half of the compression ratio the shard stats
-    /// report.
-    pub fn compressed_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.codes.len() as u64).sum()
-    }
-
-    /// The item dictionary.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn take_buf(&self) -> AlignedWords {
-        let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
-        pool.pop().unwrap_or_default()
-    }
-
-    fn put_buf(&self, buf: AlignedWords) {
-        let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
-        if pool.len() < 8 {
-            pool.push(buf);
-        }
-    }
-
-    /// Unpacks shard `k`'s row-major value codes, checking every code
-    /// against its attribute's cardinality.
-    fn decode_codes(&self, k: usize) -> Result<Vec<u16>, ArtifactError> {
-        let entry = &self.shards[k];
-        let rows = entry.n_rows;
-        let n_attrs = self.schema.n_attributes();
-        let mut staged = self.take_buf();
-        staged.resize_zeroed(entry.codes.len() / 8);
-        for (i, chunk) in entry.codes.chunks_exact(8).enumerate() {
-            staged.as_mut_slice()[i] = u64::from_le_bytes(chunk.try_into().unwrap());
-        }
-        let words = staged.as_slice();
-        let mut codes = vec![0u16; rows * n_attrs];
-        let mut word_at = 0usize;
-        let mut result = Ok(());
-        'columns: for (a, &width) in self.widths.iter().enumerate() {
-            if width == 0 {
-                continue;
-            }
-            let cardinality = self.schema.cardinality(a) as u64;
-            let mask = (1u64 << width) - 1;
-            let mut bits = 0u32;
-            for r in 0..rows {
-                let mut v = words[word_at] >> bits;
-                if bits + width > 64 {
-                    v |= words[word_at + 1] << (64 - bits);
-                }
-                let code = v & mask;
-                bits += width;
-                if bits >= 64 {
-                    bits -= 64;
-                    word_at += 1;
-                }
-                if code >= cardinality {
-                    result = Err(ArtifactError::Malformed(format!(
-                        "shard {k} row {r} attribute {a}: code {code} out of \
-                         domain (cardinality {cardinality})"
-                    )));
-                    break 'columns;
-                }
-                codes[r * n_attrs + a] = code as u16;
-            }
-            if bits > 0 {
-                // Columns start word-aligned; skip the padded tail.
-                word_at += 1;
-            }
-        }
-        self.put_buf(staged);
-        result.map(|()| codes)
-    }
-
-    /// Decodes shard `k` into a transaction database — the body behind
-    /// [`fpm::ShardSource::open`].
-    fn materialize_shard(&self, k: usize) -> fpm::Shard<()> {
-        let codes = self.decode_codes(k).expect("codes validated at load");
-        let entry = &self.shards[k];
-        let n_attrs = self.schema.n_attributes();
-        let mut builder = fpm::TransactionDbBuilder::new(self.schema.n_items());
-        let mut buf: Vec<fpm::ItemId> = Vec::with_capacity(n_attrs);
-        for r in 0..entry.n_rows {
-            buf.clear();
-            for a in 0..n_attrs {
-                buf.push(self.schema.item_id(a, codes[r * n_attrs + a] as usize));
-            }
-            builder.push(&buf);
-        }
-        fpm::Shard {
-            start_row: entry.start_row,
-            db: builder.build(),
-            payloads: vec![(); entry.n_rows],
-        }
-    }
-}
-
-impl fpm::ShardSource<()> for CompressedShardSource {
-    fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    fn open(&self, k: usize) -> Box<dyn fpm::ShardHandle<()> + '_> {
-        assert!(k < self.shards.len(), "shard index out of range");
-        fpm::sharded::handle_from_fn(move || self.materialize_shard(k))
-    }
-
-    fn size_hint(&self, k: usize) -> Option<u64> {
-        Some(self.shards[k].codes.len() as u64)
-    }
-}
-
-/// Parses `.dxs` bytes, validating the envelope, the shard directory
-/// (contiguous row tiling, exact blob sizes), every packed code against
-/// the dictionary, and the content hash. Returns a source ready for
-/// [`fpm::sharded::mine_into_bounded`] / `recount_into_bounded`.
-pub fn decode_shards(bytes: &[u8]) -> Result<CompressedShardSource, ArtifactError> {
-    let envelope = Envelope::parse(bytes)?;
-    envelope.expect_kind(KIND_SHARDS)?;
-
-    let schema_json = std::str::from_utf8(envelope.section(SEC_SCHEMA)?)
-        .map_err(|_| ArtifactError::Malformed("schema section is not UTF-8".into()))?;
-    let schema: Schema = serde_json::from_str(schema_json)
-        .map_err(|e| ArtifactError::Malformed(format!("schema section: {e}")))?;
-
-    let mut shape = Cursor::new(envelope.section(SEC_SHAPE)?, "shape");
-    let n_rows = shape.u64()? as usize;
-    let n_attrs = shape.u32()? as usize;
-    let n_items = shape.u32()? as usize;
-    let n_shards = shape.u32()? as usize;
-    shape.done()?;
-    if n_attrs != schema.n_attributes() || n_items != schema.n_items() as usize {
-        return Err(ArtifactError::Malformed(format!(
-            "shape ({n_attrs} attributes, {n_items} items) disagrees with the schema"
-        )));
-    }
-    if n_shards == 0 {
-        return Err(ArtifactError::Malformed("zero shards".into()));
-    }
-    let widths: Vec<u32> = (0..n_attrs)
-        .map(|a| code_width(schema.cardinality(a)))
-        .collect();
-
-    let codes = envelope.section(SEC_SHARD_CODES)?;
-    let mut dir = Cursor::new(envelope.section(SEC_SHARD_DIR)?, "shard directory");
-    let mut shards = Vec::with_capacity(n_shards);
-    let mut next_row = 0usize;
-    let mut next_off = 0usize;
-    for k in 0..n_shards {
-        let start = dir.u64()? as usize;
-        let rows = dir.u64()? as usize;
-        let offset = dir.u64()? as usize;
-        let len = dir.u64()? as usize;
-        if start != next_row || offset != next_off {
-            return Err(ArtifactError::Malformed(format!(
-                "shard {k} directory entry is not contiguous"
-            )));
-        }
-        let expected = shard_blob_bytes(rows, &widths);
-        if len != expected {
-            return Err(ArtifactError::Malformed(format!(
-                "shard {k} blob is {len} bytes, expected {expected}"
-            )));
-        }
-        let end = offset
-            .checked_add(len)
-            .filter(|&e| e <= codes.len())
-            .ok_or_else(|| {
-                ArtifactError::Malformed(format!("shard {k} blob spans outside the codes section"))
-            })?;
-        shards.push(ShardEntry {
-            start_row: start,
-            n_rows: rows,
-            codes: codes[offset..end].to_vec(),
-        });
-        next_row = start + rows;
-        next_off = end;
-    }
-    dir.done()?;
-    if next_row != n_rows || next_off != codes.len() {
-        return Err(ArtifactError::Malformed(
-            "shard directory does not tile the dataset".into(),
-        ));
-    }
-
-    let source = CompressedShardSource {
-        schema,
-        n_rows,
-        widths,
-        shards,
-        hash: envelope.hash,
-        pool: Mutex::new(Vec::new()),
-    };
-    // One full decode pass up front: every code in-domain, and the
-    // reconstructed table hashes to the header hash. Materialization
-    // after this point never re-validates untrusted bytes.
-    let mut all_codes = Vec::with_capacity(n_rows * n_attrs);
-    for k in 0..source.shards.len() {
-        all_codes.extend_from_slice(&source.decode_codes(k)?);
-    }
-    let data = DiscreteDataset::from_codes(source.schema.clone(), all_codes);
-    let hash = dataset_hash(&data);
-    if hash != source.hash {
-        return Err(ArtifactError::Malformed(format!(
-            "header hash {:#018x} disagrees with recomputed content hash {hash:#018x}",
-            source.hash
-        )));
-    }
-    Ok(source)
-}
-
-/// Writes a `.dxs` shard artifact to `path` crash-safely, returning the
-/// dataset's content hash.
-pub fn save_shards(
-    path: &Path,
-    data: &DiscreteDataset,
-    n_shards: usize,
-) -> Result<u64, ArtifactError> {
-    let _span = obs::span("artifact.save");
-    let bytes = encode_shards(data, n_shards);
-    atomic_write(&DiskIo, path, &bytes)?;
-    obs::counter("artifact.write_bytes", bytes.len() as u64);
-    Ok(dataset_hash(data))
-}
-
-/// Reads and validates a `.dxs` shard artifact from `path`.
-pub fn load_shards(path: &Path) -> Result<CompressedShardSource, ArtifactError> {
-    let _span = obs::span("artifact.load");
-    let bytes = DiskIo.read(path)?;
-    obs::counter("artifact.read_bytes", bytes.len() as u64);
-    decode_shards(&bytes)
-}
-
-// ---------------------------------------------------------------------
 // Quarantine and resolution
 
 /// Suffix appended to a poisoned artifact when it is quarantined.
@@ -1226,11 +862,6 @@ pub fn probe(path: &Path) -> Result<ArtifactInfo, ArtifactError> {
 /// Canonical file name of a dataset artifact: `<name>.dxd`.
 pub fn dataset_file_name(name: &str) -> String {
     format!("{name}.dxd")
-}
-
-/// Canonical file name of a compressed shard artifact: `<name>.dxs`.
-pub fn shards_file_name(name: &str) -> String {
-    format!("{name}.dxs")
 }
 
 /// Canonical file name of an arena artifact, derived from its key:
@@ -1393,117 +1024,16 @@ mod tests {
     }
 
     #[test]
-    fn shards_roundtrip_reconstructs_every_window() {
-        let (data, _, _) = sample();
-        for n_shards in [1, 3, 8, 11] {
-            let bytes = encode_shards(&data, n_shards);
-            let source = decode_shards(&bytes).unwrap();
-            assert_eq!(fpm::ShardSource::<()>::n_shards(&source), n_shards);
-            assert_eq!(fpm::ShardSource::<()>::n_rows(&source), data.n_rows());
-            assert_eq!(source.hash(), dataset_hash(&data));
-            let mut global = 0usize;
-            for k in 0..n_shards {
-                let shard = fpm::ShardSource::<()>::open(&source, k).materialize();
-                assert_eq!(shard.start_row, global, "K={n_shards} k={k}");
-                for (local, r) in (global..global + shard.db.len()).enumerate() {
-                    let want: Vec<fpm::ItemId> = data
-                        .row(r)
-                        .iter()
-                        .enumerate()
-                        .map(|(a, &c)| data.schema().item_id(a, c as usize))
-                        .collect();
-                    assert_eq!(shard.db.transaction(local), &want[..], "row {r}");
-                }
-                global += shard.db.len();
-                let hint = fpm::ShardSource::<()>::size_hint(&source, k).unwrap();
-                assert_eq!(hint, source.shards[k].codes.len() as u64);
-            }
-            assert_eq!(global, data.n_rows());
-            // Deterministic encoding: encode is a pure function of the
-            // dataset and the shard count.
-            assert_eq!(encode_shards(&data, n_shards), bytes);
+    fn probe_names_the_retired_shards_kind() {
+        let mut w = Writer::new(KIND_SHARDS, 0xd5);
+        for tag in 1..=4 {
+            w.section(tag, vec![0; tag as usize]);
         }
-    }
-
-    #[test]
-    fn shards_encoding_beats_the_resident_transaction_bytes() {
-        // 8 rows x 3 attributes at 1-2 bits/code vs 4-byte item ids:
-        // the bit-packed columns must be several times smaller than the
-        // resident CSR transactions they decode into.
-        let (data, _, _) = sample();
-        let source = decode_shards(&encode_shards(&data, 2)).unwrap();
-        let mut resident = 0u64;
-        for k in 0..2 {
-            resident += fpm::ShardSource::<()>::open(&source, k)
-                .materialize()
-                .approx_bytes();
-        }
-        let compressed = source.compressed_bytes();
-        assert!(
-            compressed * 3 <= resident,
-            "compressed {compressed} bytes vs resident {resident} bytes"
-        );
-    }
-
-    #[test]
-    fn tampered_shard_bytes_fail_closed() {
-        let (data, _, _) = sample();
-        let bytes = encode_shards(&data, 3);
-
-        // Any truncation: typed error, no panic.
-        for cut in [0, 3, 10, bytes.len() / 2, bytes.len() - 1] {
-            let err = decode_shards(&bytes[..cut]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    ArtifactError::TooShort { .. } | ArtifactError::ChecksumMismatch { .. }
-                ),
-                "cut at {cut}: {err}"
-            );
-        }
-
-        // A flipped body byte fails the checksum.
-        let mut flipped = bytes.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x40;
-        assert!(matches!(
-            decode_shards(&flipped).unwrap_err(),
-            ArtifactError::ChecksumMismatch { .. }
-        ));
-
-        // A flipped code bit with a *recomputed* checksum still fails:
-        // either the code leaves its attribute's domain or the content
-        // hash no longer matches the header.
-        let mut forged = bytes.clone();
-        let len = forged.len();
-        forged[len - 16] ^= 0x01; // last byte of the codes section
-        let end = len - 8;
-        let sum = fnv1a(FNV_OFFSET, &forged[..end]);
-        forged[end..].copy_from_slice(&sum.to_le_bytes());
-        assert!(matches!(
-            decode_shards(&forged).unwrap_err(),
-            ArtifactError::Malformed(_)
-        ));
-
-        // The wrong kind is typed.
-        let (data, v, u) = sample();
-        assert!(matches!(
-            decode_shards(&encode_dataset(&data, &v, &u)).unwrap_err(),
-            ArtifactError::WrongKind {
-                got: KIND_DATASET,
-                want: KIND_SHARDS,
-            }
-        ));
-    }
-
-    #[test]
-    fn probe_names_the_shards_kind() {
-        let (data, _, _) = sample();
-        let info = probe_bytes(&encode_shards(&data, 2)).unwrap();
+        let info = probe_bytes(&w.finish()).unwrap();
         assert_eq!(info.kind, KIND_SHARDS);
         assert_eq!(info.kind_name(), "shards");
+        assert_eq!(info.hash, 0xd5);
         assert_eq!(info.sections, 4);
-        assert_eq!(shards_file_name("compas"), "compas.dxs");
     }
 
     #[test]
@@ -1512,14 +1042,11 @@ mod tests {
             dataset_hash: 0xabc,
             min_support_count: 13,
             max_len: None,
-            engine: "sharded".to_string(),
+            engine: "dense".to_string(),
             n_rows: 100,
         };
         assert_eq!(dataset_file_name("compas"), "compas.dxd");
-        assert_eq!(
-            arena_file_name(&key),
-            "0000000000000abc-s13-lall-sharded.dxa"
-        );
+        assert_eq!(arena_file_name(&key), "0000000000000abc-s13-lall-dense.dxa");
     }
 
     /// The in-memory lattice stores 32-bit supports: a well-framed

@@ -176,188 +176,6 @@ pub fn write_csv(
     out
 }
 
-/// Parses only the data rows `start..end` (0-based, header excluded) of
-/// CSV text — the windowed form of [`parse_csv`] behind
-/// [`CsvShardSource`]. Rows outside the window are still scanned (the
-/// format is line-delimited) but never materialized, so the resident
-/// footprint is proportional to the window, not the file.
-pub fn parse_csv_window(
-    text: &str,
-    separator: char,
-    start: usize,
-    end: usize,
-) -> Result<CsvTable, CsvError> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let (_, header_line) = lines.next().ok_or(CsvError::Empty)?;
-    let header = split_line(header_line, separator, 1)?;
-    let expected = header.len();
-    if expected > MAX_COLUMNS {
-        return Err(CsvError::TooManyColumns { got: expected });
-    }
-    let mut columns: Vec<Vec<String>> = vec![Vec::new(); expected];
-    for (row, (i, line)) in lines.enumerate() {
-        if row >= end {
-            break;
-        }
-        if row < start {
-            continue;
-        }
-        let fields = split_line(line, separator, i + 1)?;
-        if fields.len() != expected {
-            return Err(CsvError::RaggedRow {
-                line: i + 1,
-                got: fields.len(),
-                expected,
-            });
-        }
-        for (c, field) in fields.into_iter().enumerate() {
-            columns[c].push(field);
-        }
-    }
-    Ok(CsvTable { header, columns })
-}
-
-/// Serves CSV rows as horizontal shards for the sharded two-pass mining
-/// engine ([`fpm::sharded`]), re-reading the text window by window so
-/// only one shard's rows are ever resident.
-///
-/// Every column is treated as categorical, with item ids assigned in
-/// first-appearance order per column — exactly the encoding
-/// [`CsvTable::into_dataset`] + `to_transactions` produce for
-/// non-numeric tables, so sharded mining over this source is
-/// bit-identical to in-memory mining of the same file. (Numeric
-/// quantile binning needs a global sort and therefore has no streaming
-/// shard form; bin such columns upfront.)
-///
-/// Construction makes one validating pass over the whole text to learn
-/// the per-column domains and the row count; [`fpm::ShardSource::open`]
-/// returns a handle that re-parses just the requested window when
-/// materialized — on whichever thread the recount pipeline runs it.
-#[derive(Debug, Clone)]
-pub struct CsvShardSource<'a> {
-    text: &'a str,
-    separator: char,
-    n_shards: usize,
-    n_rows: usize,
-    /// Per column: value → code, in first-appearance order.
-    domains: Vec<std::collections::HashMap<String, u32>>,
-    /// Cumulative item-id offset per column.
-    offsets: Vec<u32>,
-    n_items: u32,
-}
-
-impl<'a> CsvShardSource<'a> {
-    /// Validates the text and learns the item universe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_shards == 0`.
-    pub fn new(text: &'a str, separator: char, n_shards: usize) -> Result<Self, CsvError> {
-        assert!(n_shards > 0, "need at least one shard");
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty());
-        let (_, header_line) = lines.next().ok_or(CsvError::Empty)?;
-        let header = split_line(header_line, separator, 1)?;
-        let expected = header.len();
-        if expected > MAX_COLUMNS {
-            return Err(CsvError::TooManyColumns { got: expected });
-        }
-        let mut domains: Vec<std::collections::HashMap<String, u32>> =
-            vec![std::collections::HashMap::new(); expected];
-        let mut n_rows = 0usize;
-        for (i, line) in lines {
-            let fields = split_line(line, separator, i + 1)?;
-            if fields.len() != expected {
-                return Err(CsvError::RaggedRow {
-                    line: i + 1,
-                    got: fields.len(),
-                    expected,
-                });
-            }
-            for (domain, field) in domains.iter_mut().zip(fields) {
-                let next = domain.len() as u32;
-                domain.entry(field).or_insert(next);
-            }
-            n_rows += 1;
-        }
-        if n_rows == 0 {
-            return Err(CsvError::NoRows);
-        }
-        let mut offsets = Vec::with_capacity(expected);
-        let mut n_items = 0u32;
-        for domain in &domains {
-            offsets.push(n_items);
-            n_items += domain.len() as u32;
-        }
-        Ok(CsvShardSource {
-            text,
-            separator,
-            n_shards,
-            n_rows,
-            domains,
-            offsets,
-            n_items,
-        })
-    }
-
-    /// Total data rows in the file.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Size of the item universe (sum of the column cardinalities).
-    pub fn n_items(&self) -> u32 {
-        self.n_items
-    }
-
-    /// The global item id of `value` in column `column`, if it occurs.
-    pub fn item_id(&self, column: usize, value: &str) -> Option<fpm::ItemId> {
-        let code = *self.domains.get(column)?.get(value)?;
-        Some(self.offsets[column] + code)
-    }
-}
-
-impl fpm::ShardSource<()> for CsvShardSource<'_> {
-    fn n_shards(&self) -> usize {
-        self.n_shards
-    }
-
-    fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    fn open(&self, k: usize) -> Box<dyn fpm::ShardHandle<()> + '_> {
-        assert!(k < self.n_shards, "shard index out of range");
-        fpm::sharded::handle_from_fn(move || {
-            let start = k * self.n_rows / self.n_shards;
-            let end = (k + 1) * self.n_rows / self.n_shards;
-            let window = parse_csv_window(self.text, self.separator, start, end)
-                .expect("CSV validated at construction");
-            let rows = window.n_rows();
-            let mut builder = fpm::TransactionDbBuilder::new(self.n_items);
-            let mut buf: Vec<fpm::ItemId> = Vec::with_capacity(window.columns.len());
-            for r in 0..rows {
-                buf.clear();
-                for (c, column) in window.columns.iter().enumerate() {
-                    let code = self.domains[c][&column[r]];
-                    buf.push(self.offsets[c] + code);
-                }
-                builder.push(&buf);
-            }
-            fpm::Shard {
-                start_row: start,
-                db: builder.build(),
-                payloads: vec![(); rows],
-            }
-        })
-    }
-}
-
 /// Parses CSV text with the given separator.
 pub fn parse_csv(text: &str, separator: char) -> Result<CsvTable, CsvError> {
     let mut lines = text
@@ -565,99 +383,6 @@ mod tests {
                 schema.attribute(0).values[d.data.value(r, 0) as usize]
             );
         }
-    }
-
-    #[test]
-    fn parse_csv_window_selects_the_requested_rows() {
-        let text = "a,b\n1,x\n2,y\n3,z\n4,w\n";
-        let full = parse_csv(text, ',').unwrap();
-        let window = parse_csv_window(text, ',', 1, 3).unwrap();
-        assert_eq!(window.header, full.header);
-        assert_eq!(window.n_rows(), 2);
-        assert_eq!(window.columns[0], vec!["2", "3"]);
-        assert_eq!(window.columns[1], vec!["y", "z"]);
-        // Degenerate windows are empty, not an error.
-        assert_eq!(parse_csv_window(text, ',', 4, 4).unwrap().n_rows(), 0);
-        assert_eq!(parse_csv_window(text, ',', 2, 2).unwrap().n_rows(), 0);
-    }
-
-    /// An all-categorical fixture (no column parses as numeric, so the
-    /// in-memory encoding is first-appearance categorical too).
-    const SHARD_CSV: &str = "\
-grp,city
-a,rome
-b,turin
-a,rome
-c,milan
-b,rome
-a,turin
-c,rome
-";
-
-    #[test]
-    fn csv_shard_source_matches_the_in_memory_encoding() {
-        let data = parse_csv(SHARD_CSV, ',').unwrap().into_dataset(3).unwrap();
-        let db = data.to_transactions();
-        let source = CsvShardSource::new(SHARD_CSV, ',', 3).unwrap();
-        assert_eq!(fpm::ShardSource::<()>::n_rows(&source), db.len());
-        assert_eq!(source.n_items(), db.n_items());
-        assert_eq!(
-            source.item_id(0, "b"),
-            data.schema().item_by_name("grp", "b")
-        );
-        assert_eq!(source.item_id(1, "nope"), None);
-        // Reassembling the shards reproduces the in-memory table row by row.
-        let mut global = 0usize;
-        for k in 0..3 {
-            let shard = fpm::ShardSource::<()>::open(&source, k).materialize();
-            assert_eq!(shard.start_row, global);
-            for r in 0..shard.db.len() {
-                assert_eq!(
-                    shard.db.transaction(r),
-                    db.transaction(global),
-                    "global row {global}"
-                );
-                global += 1;
-            }
-        }
-        assert_eq!(global, db.len());
-    }
-
-    #[test]
-    fn sharded_mining_over_csv_matches_dense_in_memory_mining() {
-        let data = parse_csv(SHARD_CSV, ',').unwrap().into_dataset(3).unwrap();
-        let db = data.to_transactions();
-        let params = fpm::MiningParams::with_min_support_count(2);
-        let mut expected = fpm::MiningTask::with_params(&db, params.clone())
-            .algorithm(fpm::Algorithm::Dense)
-            .run()
-            .into_itemsets();
-        fpm::itemset::sort_canonical(&mut expected);
-        for shards in [1, 2, 7] {
-            let source = CsvShardSource::new(SHARD_CSV, ',', shards).unwrap();
-            let mut sink = fpm::VecSink::new();
-            let stats = fpm::sharded::mine_into(&source, &params, &mut sink);
-            assert_eq!(stats.truncated_phase, None, "shards {shards}");
-            let mut got = sink.found;
-            fpm::itemset::sort_canonical(&mut got);
-            assert_eq!(got, expected, "shards {shards}");
-        }
-    }
-
-    #[test]
-    fn csv_shard_source_rejects_bad_input() {
-        assert_eq!(
-            CsvShardSource::new("", ',', 2).unwrap_err(),
-            CsvError::Empty
-        );
-        assert_eq!(
-            CsvShardSource::new("a,b\n", ',', 2).unwrap_err(),
-            CsvError::NoRows
-        );
-        assert!(matches!(
-            CsvShardSource::new("a,b\n1\n", ',', 2).unwrap_err(),
-            CsvError::RaggedRow { line: 2, .. }
-        ));
     }
 
     #[test]

@@ -6,15 +6,15 @@
 //! per-metric T/F/⊥ (all little-endian). This suite recomputes each
 //! cell's identity through the public report API alone — `items(idx)`,
 //! `support(idx)` and `counts(idx).get(m)` — on every mining path that
-//! must produce the same lattice: FP-growth, Eclat, dense, the sharded
-//! engine (K = 7, 4 threads, prefetch 2) and the `from_artifact` recount
-//! over the canonical lattice. The pins are never re-pinned: a change to
-//! the payload, an engine or the recount must reproduce them.
+//! must produce the same lattice: FP-growth, Eclat, dense, the parallel
+//! engine (2 threads) and the `from_artifact` recount over the canonical
+//! lattice. The fingerprint is order-free, so each engine's emission
+//! order does not matter. The pins are never re-pinned: a change to the
+//! payload, an engine or the recount must reproduce them.
 //!
 //! The default tier runs the cells with s ≥ 0.1. The rest, german at
 //! s = 0.01 (2,926,696 patterns) included, are ignored by default and
-//! meant for a release build (the sharded route leaves two of them out,
-//! see [`sharded_slow_tier`]):
+//! meant for a release build:
 //!
 //! ```text
 //! cargo test --release -p datasets --test pins -- --ignored
@@ -82,8 +82,8 @@ fn identity(report: &DivergenceReport) -> (u64, u64) {
 #[derive(Debug, Clone, Copy)]
 enum Route {
     Mine(Algorithm),
-    /// The sharded engine, K = 7, 4 threads, prefetch 2.
-    Sharded,
+    /// The parallel engine with 2 worker threads.
+    Parallel,
     /// `from_artifact` over the canonical lattice the default engine mines.
     FromArtifact,
 }
@@ -93,12 +93,7 @@ fn report_of(route: Route, id: DatasetId, support: f64) -> DivergenceReport {
     let explore = |explorer: DivExplorer| explorer.explore(&t.data, &t.v, &t.u, &METRICS);
     let report = match route {
         Route::Mine(algorithm) => explore(DivExplorer::new(support).with_algorithm(algorithm)),
-        Route::Sharded => explore(
-            DivExplorer::new(support)
-                .with_shards(7)
-                .with_threads(4)
-                .with_prefetch(2),
-        ),
+        Route::Parallel => explore(DivExplorer::new(support).with_threads(2)),
         Route::FromArtifact => {
             let mined = explore(DivExplorer::new(support)).expect("mine the lattice");
             let mut lattice = ItemsetArena::with_capacity(mined.len(), 0);
@@ -139,14 +134,6 @@ fn slow_tier(pin: &Pin) -> bool {
     !default_tier(pin)
 }
 
-/// The slow tier without german at s ≤ 0.02. There, each of the 7 shards
-/// mines about 143 rows at a local threshold of 2–3 rows, and the union
-/// of the shards' lattices does not fit in 5 GB of address space, while
-/// every other route peaks near 0.4 GB on the 2,926,696-pattern lattice.
-fn sharded_slow_tier(pin: &Pin) -> bool {
-    slow_tier(pin) && !(pin.dataset == DatasetId::German && pin.support <= 0.02)
-}
-
 #[test]
 fn fp_growth_reproduces_the_pins() {
     check(Route::Mine(Algorithm::FpGrowth), default_tier);
@@ -163,8 +150,8 @@ fn dense_reproduces_the_pins() {
 }
 
 #[test]
-fn the_sharded_pipeline_reproduces_the_pins() {
-    check(Route::Sharded, default_tier);
+fn the_parallel_engine_reproduces_the_pins() {
+    check(Route::Parallel, default_tier);
 }
 
 #[test]
@@ -192,8 +179,8 @@ fn dense_reproduces_the_low_support_pins() {
 
 #[test]
 #[ignore = "paper scale: run in release with --ignored"]
-fn the_sharded_pipeline_reproduces_the_low_support_pins() {
-    check(Route::Sharded, sharded_slow_tier);
+fn the_parallel_engine_reproduces_the_low_support_pins() {
+    check(Route::Parallel, slow_tier);
 }
 
 #[test]

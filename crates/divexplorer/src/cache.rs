@@ -44,8 +44,8 @@ pub struct ArenaKey {
 impl ArenaKey {
     /// The key of the full lattice `engine` mines from a table of
     /// `n_rows` rows with content hash `dataset_hash` at relative
-    /// support `support`. How the mine runs (threads, shards, prefetch)
-    /// never changes the lattice, so it never enters the key.
+    /// support `support`. How the mine runs (its thread count) never
+    /// changes the lattice, so it never enters the key.
     pub fn new(dataset_hash: u64, n_rows: usize, support: f64, engine: fpm::Algorithm) -> Self {
         ArenaKey {
             dataset_hash,

@@ -83,8 +83,6 @@ pub struct DivExplorer {
     threads: usize,
     budget: Budget,
     cancel: Option<CancelToken>,
-    shards: Option<usize>,
-    prefetch: usize,
 }
 
 impl DivExplorer {
@@ -102,12 +100,10 @@ impl DivExplorer {
             threads: 1,
             budget: Budget::unlimited(),
             cancel: None,
-            shards: None,
-            prefetch: 0,
         }
     }
 
-    /// Selects the mining backend (FP-growth, Eclat, dense or sharded — all
+    /// Selects the mining backend (FP-growth, Eclat or dense — all
     /// produce identical reports).
     pub fn with_algorithm(mut self, algorithm: fpm::Algorithm) -> Self {
         self.algorithm = algorithm;
@@ -122,37 +118,14 @@ impl DivExplorer {
         self
     }
 
-    /// Mines with `n` worker threads (parallel vertical mining; `1` =
+    /// Mines with `n` worker threads (the [`fpm::parallel`] engine; `1` =
     /// sequential with the configured backend). The paper's tool is
     /// single-threaded — this is an extension, and the report is identical
-    /// either way.
+    /// either way. The recount behind [`DivExplorer::tally_lattice`] and
+    /// [`DivExplorer::retally`] is sequential whatever `n` is.
     pub fn with_threads(mut self, n: usize) -> Self {
         assert!(n > 0, "need at least one thread");
         self.threads = n;
-        self
-    }
-
-    /// Mines through the sharded two-pass engine with `k` row shards
-    /// (see [`fpm::sharded`]): each shard is mined independently at a
-    /// proportionally scaled threshold, and a second exact counting pass
-    /// recovers global tallies. The report is bit-identical to a dense
-    /// exploration; peak resident mining memory drops to roughly one
-    /// shard plus the candidate arena. The resulting
-    /// [`DivergenceReport::shard_stats`] carries per-phase telemetry.
-    pub fn with_shards(mut self, k: usize) -> Self {
-        assert!(k > 0, "need at least one shard");
-        self.shards = Some(k);
-        self
-    }
-
-    /// Sets the recount prefetch depth `d` for sharded explorations: the
-    /// pipeline loads up to `d` shards ahead of the counting threads so
-    /// IO overlaps compute (see [`fpm::MiningTask::prefetch`]). `0` (the
-    /// default) keeps loading inline on the counting threads. Has no
-    /// effect without [`DivExplorer::with_shards`]; the report stays
-    /// bit-identical either way.
-    pub fn with_prefetch(mut self, d: usize) -> Self {
-        self.prefetch = d;
         self
     }
 
@@ -209,7 +182,7 @@ impl DivExplorer {
         let mut params = fpm::MiningParams::with_min_support_fraction(self.min_support, n);
         params.max_len = self.max_len;
         let min_support_count = params.min_support_count;
-        let (store, completeness, shard_stats) = {
+        let (store, completeness) = {
             let _span = obs::span("explore.mine");
             self.mine_bounded(&db, &payloads, &params)
         };
@@ -223,8 +196,7 @@ impl DivExplorer {
             dataset_counts,
             store,
         )
-        .with_completeness(completeness)
-        .with_shard_stats(shard_stats))
+        .with_completeness(completeness))
     }
 
     /// Re-analyzes a dataset against a previously mined candidate
@@ -232,7 +204,7 @@ impl DivExplorer {
     /// [`crate::ArenaCache`]. The frequent-itemset lattice depends only
     /// on the dataset and the support threshold; new label vectors only
     /// change which confusion cell each row lands in. So this tallies
-    /// the lattice's confusion cells in one exact streaming recount
+    /// the lattice's confusion cells in one exact recount
     /// ([`DivExplorer::tally_lattice`]) and derives the metrics from them
     /// ([`DivExplorer::report_from_tallies`]), with **no mining phase**.
     /// The report is bit-identical to a cold [`DivExplorer::explore`] of
@@ -258,11 +230,11 @@ impl DivExplorer {
     }
 
     /// Tallies the confusion cells of every candidate in `candidates`
-    /// under ground truth `v` and predictions `u`: one full streaming
-    /// recount of `data` with this explorer's threads, shards, prefetch,
-    /// budget and cancel token. The result is metric-free; derive any
-    /// metric list from it with [`DivExplorer::report_from_tallies`], or
-    /// move it to other predictions with [`DivExplorer::retally`].
+    /// under ground truth `v` and predictions `u`: one full recount of
+    /// `data`, sequential, under this explorer's budget and cancel token
+    /// ([`fpm::MiningTask::recount`]). The result is metric-free; derive
+    /// any metric list from it with [`DivExplorer::report_from_tallies`],
+    /// or move it to other predictions with [`DivExplorer::retally`].
     ///
     /// A deadline or cancellation mid-recount yields tallies with no
     /// cells and a truncated [`LatticeTallies::completeness`].
@@ -283,14 +255,14 @@ impl DivExplorer {
             data.to_transactions()
         };
         let _span = obs::span("explore.recount");
-        let (cells, verdict) = self.recount_cells(&db, &payloads, candidates);
+        let (cells, completeness, rows) = self.recount_cells(&db, &payloads, candidates);
         // Released under the span, so a trace attributes the release too.
         drop((db, payloads));
         Ok(LatticeTallies {
             cells,
             dataset: ConfusionCells::from_counted(v.len() as u64, &dataset),
-            completeness: verdict.completeness,
-            shards: verdict.shards,
+            completeness,
+            rows,
         })
     }
 
@@ -341,7 +313,7 @@ impl DivExplorer {
             data.transactions_of(rows.iter().copied())
         };
         let _span = obs::span("explore.recount");
-        let (moved, verdict) = self.recount_cells(&db, &payloads, candidates);
+        let (moved, completeness, rows) = self.recount_cells(&db, &payloads, candidates);
         drop((db, payloads));
         // A cut recount has no cells, so neither has the result.
         let cells = base
@@ -353,8 +325,8 @@ impl DivExplorer {
         Ok(LatticeTallies {
             cells,
             dataset: base.dataset.with_moved_rows(&moved_dataset),
-            completeness: verdict.completeness,
-            shards: verdict.shards,
+            completeness,
+            rows,
         })
     }
 
@@ -423,20 +395,20 @@ impl DivExplorer {
             tallies.dataset.counted(),
             store,
         )
-        .with_completeness(completeness)
-        .with_shard_stats(tallies.shards))
+        .with_completeness(completeness))
     }
 
     /// The one recount behind every tally, full or delta: folds `db`'s
     /// rows over `candidates` through [`fpm::MiningTask::recount`] under
-    /// this explorer's knobs and budget, and returns each candidate's
-    /// confusion cells (none when the pass was cut) with the verdict.
+    /// this explorer's budget and cancel token, and returns each
+    /// candidate's confusion cells (none when the pass was cut), the
+    /// pass's completeness and the rows it read.
     fn recount_cells(
         &self,
         db: &fpm::TransactionDb,
         payloads: &[CountedCells],
         candidates: &ItemsetArena<()>,
-    ) -> (Vec<ConfusionCells>, fpm::MiningVerdict) {
+    ) -> (Vec<ConfusionCells>, Completeness, u64) {
         let params = fpm::MiningParams::with_min_support_count(1);
         let tallies = self.mining_task(db, payloads, &params).recount(candidates);
         let cells = tallies
@@ -445,11 +417,11 @@ impl DivExplorer {
             .zip(&tallies.payloads)
             .map(|(&support, counted)| ConfusionCells::from_counted(support, counted))
             .collect();
-        (cells, tallies.verdict)
+        (cells, tallies.completeness, tallies.rows)
     }
 
     /// Builds the configured [`fpm::MiningTask`] over `db` — the single
-    /// place where explorer knobs (backend, threads, shards, budget,
+    /// place where explorer knobs (backend, threads, budget,
     /// cancellation) are translated into the mining API.
     fn mining_task<'a, P: Payload + Send + Sync>(
         &self,
@@ -461,11 +433,7 @@ impl DivExplorer {
             .payloads(payloads)
             .algorithm(self.algorithm)
             .threads(self.threads)
-            .prefetch(self.prefetch)
             .budget(self.budget);
-        if let Some(k) = self.shards {
-            task = task.shards(k);
-        }
         if let Some(token) = &self.cancel {
             task = task.cancel(token.clone());
         }
@@ -473,7 +441,7 @@ impl DivExplorer {
     }
 
     /// The shared bounded mining step: one [`fpm::MiningTask`] run
-    /// (sequential, parallel or sharded) under the configured budget and
+    /// (sequential or parallel) under the configured budget and
     /// cancel token, streamed through a [`TracingSink`] so every engine
     /// publishes the same `fpm.*` stream counters.
     fn mine_bounded(
@@ -481,16 +449,12 @@ impl DivExplorer {
         db: &fpm::TransactionDb,
         payloads: &[CountedCells],
         params: &fpm::MiningParams,
-    ) -> (
-        ItemsetArena<CountedCells>,
-        Completeness,
-        Option<fpm::ShardStats>,
-    ) {
+    ) -> (ItemsetArena<CountedCells>, Completeness) {
         let mut traced = TracingSink::new(ItemsetArena::new());
-        let verdict = self.mining_task(db, payloads, params).run_into(&mut traced);
+        let completeness = self.mining_task(db, payloads, params).run_into(&mut traced);
         let store = traced.into_inner();
         obs::counter("fpm.arena_bytes", store.approx_bytes());
-        (store, verdict.completeness, verdict.shards)
+        (store, completeness)
     }
 
     /// Streams the exploration into a caller-supplied [`ItemsetSink`]
@@ -532,7 +496,7 @@ impl DivExplorer {
         let mine_start = Instant::now();
         let mine_span = obs::span("explore.mine");
         let mut traced = TracingSink::new(sink);
-        let verdict = self
+        let completeness = self
             .mining_task(&db, &payloads, &params)
             .run_into(&mut traced);
         let patterns_emitted = traced.emitted();
@@ -543,9 +507,8 @@ impl DivExplorer {
             n_rows: n,
             min_support_count: params.min_support_count,
             dataset_counts,
-            completeness: verdict.completeness,
+            completeness,
             patterns_emitted,
-            shards: verdict.shards,
             stages: StageTimings {
                 tally_us,
                 encode_us,
@@ -684,7 +647,7 @@ pub struct LatticeTallies {
     cells: Vec<ConfusionCells>,
     dataset: ConfusionCells,
     completeness: Completeness,
-    shards: Option<fpm::ShardStats>,
+    rows: u64,
 }
 
 impl LatticeTallies {
@@ -693,10 +656,10 @@ impl LatticeTallies {
         &self.completeness
     }
 
-    /// The statistics of the recount that produced these tallies: for a
-    /// [`DivExplorer::retally`], the recount of the differing rows only.
-    pub fn shard_stats(&self) -> Option<&fpm::ShardStats> {
-        self.shards.as_ref()
+    /// The rows the recount that produced these tallies read: for a
+    /// [`DivExplorer::retally`], the differing rows only.
+    pub fn recount_rows(&self) -> u64 {
+        self.rows
     }
 }
 
@@ -718,10 +681,6 @@ pub struct ExplorationStats {
     pub completeness: Completeness,
     /// Itemsets streamed into the sink (after budget enforcement).
     pub patterns_emitted: u64,
-    /// The sharded engine's per-phase statistics (shard coverage,
-    /// candidate-union size, recount throughput, per-phase wall clock,
-    /// peak resident memory) when the pass ran sharded; `None` otherwise.
-    pub shards: Option<fpm::ShardStats>,
     /// Wall-clock of each stage of the pass.
     pub stages: StageTimings,
 }
@@ -881,8 +840,8 @@ mod tests {
         assert!(delta.completeness().is_complete());
         assert_eq!(delta.cells, full.cells);
         assert_eq!(delta.dataset, full.dataset);
-        assert_eq!(delta.shard_stats().unwrap().recount_rows, 2);
-        assert_eq!(full.shard_stats().unwrap().recount_rows, 8);
+        assert_eq!(delta.recount_rows(), 2);
+        assert_eq!(full.recount_rows(), 8);
         assert_eq!(base.cells, before.cells, "the base is left as it was");
 
         let derived = explorer
@@ -1087,80 +1046,6 @@ mod tests {
                 assert_eq!(parallel.counts(idx), p.counts);
             }
         }
-    }
-
-    #[test]
-    fn sharded_exploration_matches_sequential_and_reports_stats() {
-        let (data, v, u) = fixture();
-        let metrics = [Metric::FalsePositiveRate, Metric::ErrorRate];
-        let sequential = DivExplorer::new(0.1)
-            .explore(&data, &v, &u, &metrics)
-            .unwrap();
-        assert!(sequential.shard_stats().is_none());
-        for shards in [1, 2, 5] {
-            let sharded = DivExplorer::new(0.1)
-                .with_shards(shards)
-                .explore(&data, &v, &u, &metrics)
-                .unwrap();
-            assert!(sharded.is_exploration_complete(), "shards={shards}");
-            assert_eq!(sharded.len(), sequential.len(), "shards={shards}");
-            for p in sequential.patterns() {
-                let idx = sharded.find(p.items).unwrap();
-                assert_eq!(sharded.support(idx), p.support, "shards={shards}");
-                assert_eq!(sharded.counts(idx), p.counts, "shards={shards}");
-            }
-            let stats = sharded.shard_stats().expect("sharded run records stats");
-            assert_eq!(stats.n_shards, shards);
-            assert_eq!(stats.shards_mined, shards as u64);
-            assert_eq!(stats.truncated_phase, None);
-            // The refinement inherits the mining pass's shard statistics.
-            let refined = sharded.refine_to_support(0.3);
-            assert_eq!(refined.shard_stats(), Some(stats));
-        }
-    }
-
-    #[test]
-    fn parallel_prefetched_sharded_exploration_stays_bit_identical() {
-        let (data, v, u) = fixture();
-        let metrics = [Metric::FalsePositiveRate, Metric::ErrorRate];
-        let sequential = DivExplorer::new(0.1)
-            .explore(&data, &v, &u, &metrics)
-            .unwrap();
-        for (threads, prefetch) in [(1, 2), (4, 0), (4, 2)] {
-            let piped = DivExplorer::new(0.1)
-                .with_shards(5)
-                .with_threads(threads)
-                .with_prefetch(prefetch)
-                .explore(&data, &v, &u, &metrics)
-                .unwrap();
-            assert_eq!(piped.len(), sequential.len(), "t={threads} d={prefetch}");
-            for p in sequential.patterns() {
-                let idx = piped.find(p.items).unwrap();
-                assert_eq!(piped.counts(idx), p.counts, "t={threads} d={prefetch}");
-            }
-            let stats = piped.shard_stats().expect("sharded run records stats");
-            assert_eq!(stats.recount_rows as usize, data.n_rows());
-            let ratio = stats.overlap_ratio();
-            assert!((0.0..=1.0).contains(&ratio), "t={threads} d={prefetch}");
-        }
-    }
-
-    #[test]
-    fn sharded_explore_into_surfaces_shard_stats() {
-        let (data, v, u) = fixture();
-        let mut store = ItemsetArena::new();
-        let stats = DivExplorer::new(0.1)
-            .with_shards(3)
-            .explore_into(&data, &v, &u, &[Metric::ErrorRate], &mut store)
-            .unwrap();
-        let shard_stats = stats.shards.expect("sharded pass records stats");
-        assert_eq!(shard_stats.n_shards, 3);
-        assert_eq!(shard_stats.recount_rows as usize, data.n_rows());
-        assert_eq!(stats.patterns_emitted, store.len() as u64);
-        let plain = DivExplorer::new(0.1)
-            .explore(&data, &v, &u, &[Metric::ErrorRate])
-            .unwrap();
-        assert_eq!(store.len(), plain.len());
     }
 
     #[test]

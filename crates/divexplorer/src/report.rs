@@ -84,7 +84,6 @@ pub struct DivergenceReport {
     dataset_counts: MultiCounts,
     store: ItemsetArena<CountedCells>,
     completeness: Completeness,
-    shard_stats: Option<fpm::ShardStats>,
 }
 
 impl DivergenceReport {
@@ -123,7 +122,6 @@ impl DivergenceReport {
             metric_cells,
             store,
             completeness: Completeness::Complete,
-            shard_stats: None,
         }
     }
 
@@ -145,21 +143,6 @@ impl DivergenceReport {
     /// Shorthand: true iff the exploration was not truncated.
     pub fn is_exploration_complete(&self) -> bool {
         self.completeness.is_complete()
-    }
-
-    /// Attaches the sharded engine's per-phase statistics (builder-style;
-    /// `None` when the exploration did not run sharded).
-    pub fn with_shard_stats(mut self, stats: Option<fpm::ShardStats>) -> Self {
-        self.shard_stats = stats;
-        self
-    }
-
-    /// Per-phase statistics of the sharded mining engine, when the
-    /// exploration ran through it ([`crate::DivExplorer::with_shards`]):
-    /// shard coverage, candidate-union size, recount row throughput and
-    /// the peak resident shard/candidate memory.
-    pub fn shard_stats(&self) -> Option<&fpm::ShardStats> {
-        self.shard_stats.as_ref()
     }
 
     /// The schema of the analyzed dataset.
@@ -420,10 +403,8 @@ impl DivergenceReport {
             self.dataset_cells,
             store,
         )
-        // A subset of a truncated lattice is still truncated, and the
-        // refinement inherits the mining pass's shard statistics.
+        // A subset of a truncated lattice is still truncated.
         .with_completeness(self.completeness)
-        .with_shard_stats(self.shard_stats)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Packed bit vectors over transaction ids: the dense tidset
 //! representation shared by the [`crate::dense`] engine, the
-//! [`crate::masks`] class masks and the [`crate::sharded`] recount.
+//! [`crate::masks`] class masks and the [`crate::recount`] fold.
 
 use crate::kernels::{self, AlignedWords};
 

@@ -24,13 +24,12 @@
 //! (Eclat, dense, FP-growth, the naive oracle) consult `wants_extensions`
 //! after every emission, so a `false` from an exhausted `BudgetSink`
 //! prunes every subtree immediately. The merged-parallel
-//! ([`crate::parallel`]) and two-pass ([`crate::sharded`]) miners apply
-//! `wants_extensions` only where their traversal order allows, and can
-//! spend unbounded time inside a single worker subtree or counting pass.
-//! Every miner therefore also polls [`ItemsetSink::should_stop`] at
-//! periodic checkpoints (per root subtree, per subtree node, per shard),
-//! which re-checks the deadline and the cancel token even when no
-//! emission has happened for a while.
+//! ([`crate::parallel`]) miner applies `wants_extensions` only where its
+//! traversal order allows, and can spend unbounded time inside a single
+//! worker subtree. Every miner therefore also polls
+//! [`ItemsetSink::should_stop`] at periodic checkpoints (per root
+//! subtree, per subtree node), which re-checks the deadline and the
+//! cancel token even when no emission has happened for a while.
 //!
 //! A truncated run's output is always a subset of the unbudgeted run's
 //! output with identical supports and payloads, and for the deterministic
@@ -151,8 +150,8 @@ pub enum TruncationReason {
     DepthLimit,
     /// A [`CancelToken`] was fired.
     Cancelled,
-    /// One or more parallel worker subtrees panicked and were contained;
-    /// their shards are missing from the result.
+    /// One or more parallel worker subtrees, or a recount's payload
+    /// merge, panicked and were contained; their results are missing.
     WorkerPanic,
 }
 
@@ -231,7 +230,7 @@ impl std::fmt::Display for Completeness {
 /// Wrap any inner sink; once a limit trips, every further emission is
 /// dropped, `wants_extensions` answers `false` (pruning all depth-first
 /// subtrees) and [`ItemsetSink::should_stop`] answers `true` (stopping
-/// parallel, sharded and long counting passes at their next checkpoint).
+/// parallel and long counting passes at their next checkpoint).
 /// The final [`BudgetSink::verdict`] reports what happened.
 pub struct BudgetSink<S> {
     inner: S,

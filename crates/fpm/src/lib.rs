@@ -4,9 +4,9 @@
 //! [FP-growth](fpgrowth) over an FP-tree and vertical [Eclat](eclat) over
 //! tid-lists — plus the class-mask popcount engine [`dense`] (adaptive
 //! bitset / tid-list / dEclat-diffset representation with payload counters
-//! computed as `popcount(tidset & class_mask)`), the two-pass [`sharded`]
-//! engine for out-of-core tables, and a [naive reference miner](naive)
-//! used for differential testing.
+//! computed as `popcount(tidset & class_mask)`), the multi-threaded
+//! [`parallel`] engine, and a [naive reference miner](naive) used for
+//! differential testing.
 //!
 //! The distinguishing feature, required by Algorithm 1 of the DivExplorer
 //! paper (Pastor et al., SIGMOD 2021), is that every miner is generic over a
@@ -21,7 +21,7 @@
 //!
 //! Every run is described by a [`MiningTask`] builder: database and
 //! threshold, then any combination of backend, payloads, budget, cancel
-//! token, worker threads, and shards, executed with
+//! token and worker threads, executed with
 //! [`MiningTask::run`] (materializes an [`ItemsetArena`]) or
 //! [`MiningTask::run_into`] (*streams* each frequent itemset into an
 //! [`ItemsetSink`] as soon as its support is known — the itemset is
@@ -31,8 +31,8 @@
 //! `mine_counts`) went through a deprecation cycle and have been
 //! removed; the builder is the only entry point. For re-analysis of an
 //! already mined lattice under a new payload vector, use
-//! [`MiningTask::recount`] — an exact streaming recount with no mining
-//! phase.
+//! [`MiningTask::recount`] — an exact recount with no mining phase
+//! ([`recount`]).
 //!
 //! Sinks compose. For example, a sink that keeps only itemsets whose
 //! payload-derived statistic clears a threshold:
@@ -75,14 +75,6 @@
 //! // {0}, {1}, {2}, {0,1}, {1,2} are frequent at minimum support 2.
 //! assert_eq!(found.len(), 5);
 //! ```
-//!
-//! # Scaling out
-//!
-//! [`Algorithm::Sharded`] (or [`MiningTask::shards`]) engages the
-//! [`sharded`] two-pass Partition engine: shards are mined for local
-//! candidates in parallel, then one streaming recount pass computes
-//! exact global supports and payloads — see the [`sharded`] module docs
-//! for the soundness argument and memory model.
 
 pub mod anchored;
 pub mod arena;
@@ -99,8 +91,8 @@ pub mod masks;
 pub mod naive;
 pub mod parallel;
 pub mod payload;
+pub mod recount;
 pub mod rules;
-pub mod sharded;
 pub mod sink;
 pub mod task;
 pub mod trace;
@@ -113,11 +105,9 @@ pub use itemset::FrequentItemset;
 pub use kernels::{AlignedWords, Kernel};
 pub use masks::{ClassMasks, MaskSpec};
 pub use payload::{CountPayload, Payload};
-pub use sharded::{
-    MemShardSource, RecountTallies, Shard, ShardHandle, ShardPhase, ShardSource, ShardStats,
-};
+pub use recount::RecountTallies;
 pub use sink::{CountingSink, FilterSink, ItemsetSink, TopKBySupportSink, VecSink};
-pub use task::{MiningOutcome, MiningTask, MiningVerdict};
+pub use task::{MiningOutcome, MiningTask};
 pub use trace::TracingSink;
 pub use transaction::{ItemId, TransactionDb, TransactionDbBuilder};
 
@@ -190,12 +180,6 @@ pub enum Algorithm {
     /// Payloads that don't lower into class masks fall back to
     /// [`Algorithm::Eclat`] transparently.
     Dense,
-    /// Two-pass Partition mining over horizontal row shards: local
-    /// candidate mining per shard (dense engine, scaled threshold), then
-    /// one exact streaming recount — see [`sharded`]. Shard count
-    /// defaults to [`sharded::DEFAULT_SHARDS`]; pick it with
-    /// [`MiningTask::shards`].
-    Sharded,
     /// Exhaustive depth-first enumeration with per-candidate scans. Only
     /// suitable for small inputs; used as the differential-testing oracle.
     Naive,
@@ -203,12 +187,7 @@ pub enum Algorithm {
 
 impl Algorithm {
     /// Every production algorithm (excludes [`Algorithm::Naive`]).
-    pub const ALL: [Algorithm; 4] = [
-        Algorithm::FpGrowth,
-        Algorithm::Eclat,
-        Algorithm::Dense,
-        Algorithm::Sharded,
-    ];
+    pub const ALL: [Algorithm; 3] = [Algorithm::FpGrowth, Algorithm::Eclat, Algorithm::Dense];
 
     /// The telemetry span name wrapping a [`mine_into`] run with this
     /// backend.
@@ -217,7 +196,6 @@ impl Algorithm {
             Algorithm::FpGrowth => "fpm.mine.fp-growth",
             Algorithm::Eclat => "fpm.mine.eclat",
             Algorithm::Dense => "fpm.mine.dense",
-            Algorithm::Sharded => "fpm.mine.sharded",
             Algorithm::Naive => "fpm.mine.naive",
         }
     }
@@ -229,7 +207,6 @@ impl std::fmt::Display for Algorithm {
             Algorithm::FpGrowth => "fp-growth",
             Algorithm::Eclat => "eclat",
             Algorithm::Dense => "dense",
-            Algorithm::Sharded => "sharded",
             Algorithm::Naive => "naive",
         };
         f.write_str(name)
@@ -260,10 +237,6 @@ pub(crate) fn dispatch_mine_into<P: Payload + Send + Sync, S: ItemsetSink<P>>(
         Algorithm::FpGrowth => fpgrowth::mine_into(db, payloads, params, sink),
         Algorithm::Eclat => eclat::mine_into(db, payloads, params, sink),
         Algorithm::Dense => dense::mine_into(db, payloads, params, sink),
-        Algorithm::Sharded => {
-            let source = sharded::MemShardSource::new(db, payloads, sharded::DEFAULT_SHARDS);
-            sharded::mine_into(&source, params, sink);
-        }
         Algorithm::Naive => naive::mine_into(db, payloads, params, sink),
     }
 }

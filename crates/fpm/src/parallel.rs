@@ -122,8 +122,8 @@ fn decode(code: u8) -> Option<TruncationReason> {
 
 /// Budget state shared by all workers. Kept separate from the sink
 /// machinery: here enforcement is global (the caps bound the *merged*
-/// result, not each worker's shard). Also reused by [`crate::sharded`],
-/// whose two phases poll the same stop flag and byte pool.
+/// result, not each worker's share). Also reused by [`crate::recount`],
+/// which polls the same deadline and cancel token.
 pub(crate) struct SharedLimits<'a> {
     stop: AtomicBool,
     reason: AtomicU8,

@@ -23,10 +23,10 @@
 //!   Because support is anti-monotone, this is the hook for top-k
 //!   cutoffs ("no extension can beat the current k-th support") and
 //!   depth limits beyond [`crate::MiningParams::max_len`]. The hook is
-//!   advisory: merged-parallel ([`crate::parallel`]) and two-pass
-//!   ([`crate::sharded`]) execution apply it where their traversal
-//!   order allows (see the module docs), and a sink must therefore
-//!   filter in `emit` if it *requires* suppression rather than pruning.
+//!   advisory: merged-parallel ([`crate::parallel`]) execution applies
+//!   it where its traversal order allows (see the module docs), and a
+//!   sink must therefore filter in `emit` if it *requires* suppression
+//!   rather than pruning.
 
 use crate::itemset::FrequentItemset;
 use crate::payload::Payload;
@@ -48,7 +48,7 @@ pub trait ItemsetSink<P: Payload> {
     /// Cooperative-cancellation checkpoint: `true` tells the miner to
     /// abandon the run as soon as its traversal allows, keeping whatever
     /// has already been emitted. Miners poll this at periodic
-    /// checkpoints (per subtree, per shard, every N transactions of a
+    /// checkpoints (per subtree, every N transactions of a
     /// counting pass) — the hook that makes wall-clock budgets and
     /// [`crate::budget::CancelToken`] effective even where
     /// `wants_extensions` is only advisory. Defaults to `false` (never

@@ -21,22 +21,21 @@
 //! assert!(outcome.completeness.is_complete());
 //! ```
 //!
-//! Every axis of a run is a setter: the backend ([`MiningTask::algorithm`],
-//! including [`Algorithm::Sharded`]), fused payloads
-//! ([`MiningTask::payloads`]), resource bounds ([`MiningTask::budget`],
-//! [`MiningTask::cancel`]), parallelism ([`MiningTask::threads`]),
-//! sharding ([`MiningTask::shards`]) and IO overlap
-//! ([`MiningTask::prefetch`]). Terminal methods:
-//! [`MiningTask::run`] materializes an [`ItemsetArena`] inside a
-//! [`MiningOutcome`]; [`MiningTask::run_into`] streams into any
-//! [`ItemsetSink`] and returns the [`MiningVerdict`].
+//! Every axis of a run is a setter: the backend ([`MiningTask::algorithm`]),
+//! fused payloads ([`MiningTask::payloads`]), resource bounds
+//! ([`MiningTask::budget`], [`MiningTask::cancel`]) and parallelism
+//! ([`MiningTask::threads`]). Terminal methods: [`MiningTask::run`]
+//! materializes an [`ItemsetArena`] inside a [`MiningOutcome`];
+//! [`MiningTask::run_into`] streams into any [`ItemsetSink`] and returns
+//! the run's [`Completeness`]; [`MiningTask::recount`] tallies a stored
+//! lattice with no mining phase.
 
 use crate::arena::ItemsetArena;
 use crate::budget::{Budget, BudgetSink, CancelToken, Completeness};
 use crate::itemset::FrequentItemset;
 use crate::parallel;
 use crate::payload::Payload;
-use crate::sharded::{self, MemShardSource, RecountTallies, ShardStats};
+use crate::recount::{self, RecountTallies};
 use crate::sink::ItemsetSink;
 use crate::transaction::TransactionDb;
 use crate::{Algorithm, MiningParams};
@@ -55,17 +54,6 @@ pub struct MiningTask<'a, P = ()> {
     budget: Budget,
     cancel: Option<CancelToken>,
     threads: usize,
-    shards: Option<usize>,
-    prefetch: usize,
-}
-
-/// What [`MiningTask::run_into`] reports after streaming into a sink.
-#[derive(Debug, Clone)]
-pub struct MiningVerdict {
-    /// Whether the run finished, or which limit cut it.
-    pub completeness: Completeness,
-    /// Telemetry of the sharded engine; `None` for unsharded runs.
-    pub shards: Option<ShardStats>,
 }
 
 /// What [`MiningTask::run`] materializes.
@@ -75,8 +63,6 @@ pub struct MiningOutcome<P> {
     pub store: ItemsetArena<P>,
     /// Whether the run finished, or which limit cut it.
     pub completeness: Completeness,
-    /// Telemetry of the sharded engine; `None` for unsharded runs.
-    pub shards: Option<ShardStats>,
 }
 
 impl<P> MiningOutcome<P> {
@@ -89,8 +75,8 @@ impl<P> MiningOutcome<P> {
 
 impl<'a> MiningTask<'a, ()> {
     /// A run over `db` with an absolute support-count threshold, unit
-    /// payloads, the [`Algorithm::Dense`] backend, no bounds, one
-    /// thread, and no sharding.
+    /// payloads, the [`Algorithm::Dense`] backend, no bounds and one
+    /// thread.
     pub fn new(db: &'a TransactionDb, min_support_count: u64) -> Self {
         Self::with_params(db, MiningParams::with_min_support_count(min_support_count))
     }
@@ -105,8 +91,6 @@ impl<'a> MiningTask<'a, ()> {
             budget: Budget::unlimited(),
             cancel: None,
             threads: 1,
-            shards: None,
-            prefetch: 0,
         }
     }
 }
@@ -126,14 +110,10 @@ impl<'a, P: Payload + Send + Sync> MiningTask<'a, P> {
             budget: self.budget,
             cancel: self.cancel,
             threads: self.threads,
-            shards: self.shards,
-            prefetch: self.prefetch,
         }
     }
 
-    /// Selects the mining backend. [`Algorithm::Sharded`] routes through
-    /// the two-pass engine with [`sharded::DEFAULT_SHARDS`] shards unless
-    /// [`MiningTask::shards`] picked a count.
+    /// Selects the mining backend.
     pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
         self.algorithm = algorithm;
         self
@@ -151,8 +131,9 @@ impl<'a, P: Payload + Send + Sync> MiningTask<'a, P> {
         self
     }
 
-    /// Worker threads for the parallel and sharded engines (`1` =
-    /// sequential).
+    /// Worker threads for mining: `n > 1` runs the [`crate::parallel`]
+    /// engine, `1` the configured backend sequentially. The recount is
+    /// sequential either way.
     ///
     /// # Panics
     ///
@@ -163,41 +144,10 @@ impl<'a, P: Payload + Send + Sync> MiningTask<'a, P> {
         self
     }
 
-    /// Splits the table into `k` horizontal row shards and runs the
-    /// two-pass [`crate::sharded`] engine, regardless of the configured
-    /// algorithm (each shard is mined with the dense engine).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn shards(mut self, k: usize) -> Self {
-        assert!(k > 0, "need at least one shard");
-        self.shards = Some(k);
-        self
-    }
-
-    /// Shards loaded ahead of the recount under the sharded engine:
-    /// `d > 0` dedicates a loader thread that keeps up to `d` shards
-    /// materialized ahead of consumption, overlapping IO with counting.
-    /// `0` (the default) loads inline on the counting threads. Tallies
-    /// are bit-identical either way.
-    pub fn prefetch(mut self, d: usize) -> Self {
-        self.prefetch = d;
-        self
-    }
-
     /// Caps itemset length (forwarded to [`MiningParams::max_len`]).
     pub fn max_len(mut self, max_len: usize) -> Self {
         self.params.max_len = Some(max_len);
         self
-    }
-
-    /// The shard count this task will run with, if the sharded engine is
-    /// engaged (explicit [`MiningTask::shards`], or the default for
-    /// [`Algorithm::Sharded`]).
-    fn effective_shards(&self) -> Option<usize> {
-        self.shards
-            .or((self.algorithm == Algorithm::Sharded).then_some(sharded::DEFAULT_SHARDS))
     }
 
     /// Runs the task, materializing every emitted itemset into an arena.
@@ -206,7 +156,7 @@ impl<'a, P: Payload + Send + Sync> MiningTask<'a, P> {
     ///
     /// Panics if attached payloads don't have one entry per transaction.
     pub fn run(&self) -> MiningOutcome<P> {
-        if self.effective_shards().is_none() && self.threads > 1 {
+        if self.threads > 1 {
             // The parallel engine's native form is an arena: take it
             // directly instead of replaying through a collecting sink.
             let owned;
@@ -228,30 +178,28 @@ impl<'a, P: Payload + Send + Sync> MiningTask<'a, P> {
             return MiningOutcome {
                 store,
                 completeness,
-                shards: None,
             };
         }
         let mut store = ItemsetArena::new();
-        let verdict = self.run_into(&mut store);
+        let completeness = self.run_into(&mut store);
         MiningOutcome {
             store,
-            completeness: verdict.completeness,
-            shards: verdict.shards,
+            completeness,
         }
     }
 
     /// Runs the task, streaming every emitted itemset into `sink`.
     ///
-    /// Emission order is engine-specific (the parallel and sharded
-    /// engines emit in canonical order); the *set* of emissions is
-    /// engine-independent. The parallel and sharded engines do not
-    /// consult [`ItemsetSink::wants_extensions`] — budgets are the
-    /// supported way to bound them (see [`crate::parallel`]).
+    /// Emission order is engine-specific (the parallel engine emits in
+    /// canonical order); the *set* of emissions is engine-independent.
+    /// The parallel engine does not consult
+    /// [`ItemsetSink::wants_extensions`] — budgets are the supported way
+    /// to bound it (see [`crate::parallel`]).
     ///
     /// # Panics
     ///
     /// Panics if attached payloads don't have one entry per transaction.
-    pub fn run_into<S: ItemsetSink<P>>(&self, sink: &mut S) -> MiningVerdict {
+    pub fn run_into<S: ItemsetSink<P>>(&self, sink: &mut S) -> Completeness {
         let owned;
         let payloads = match self.payloads {
             Some(p) => p,
@@ -266,24 +214,6 @@ impl<'a, P: Payload + Send + Sync> MiningTask<'a, P> {
             "payload slice length must match transaction count"
         );
 
-        if let Some(k) = self.effective_shards() {
-            let _span = obs::span(Algorithm::Sharded.span_name());
-            let source = MemShardSource::new(self.db, payloads, k);
-            let (completeness, stats) = sharded::mine_into_bounded(
-                &source,
-                &self.params,
-                self.threads,
-                self.prefetch,
-                &self.budget,
-                self.cancel.as_ref(),
-                sink,
-            );
-            return MiningVerdict {
-                completeness,
-                shards: Some(stats),
-            };
-        }
-
         if self.threads > 1 {
             let (arena, completeness) = parallel::mine_arena_bounded(
                 self.db,
@@ -296,19 +226,13 @@ impl<'a, P: Payload + Send + Sync> MiningTask<'a, P> {
             for entry in arena.iter() {
                 sink.emit(entry.items, entry.support, entry.payload);
             }
-            return MiningVerdict {
-                completeness,
-                shards: None,
-            };
+            return completeness;
         }
 
         if self.budget.is_unlimited() && self.cancel.is_none() {
             // Unbounded sequential fast path: no wrapper sink.
             crate::dispatch_mine_into(self.algorithm, self.db, payloads, &self.params, sink);
-            return MiningVerdict {
-                completeness: Completeness::Complete,
-                shards: None,
-            };
+            return Completeness::Complete;
         }
         let mut bounded = BudgetSink::new(&mut *sink, self.budget);
         if let Some(token) = &self.cancel {
@@ -321,24 +245,22 @@ impl<'a, P: Payload + Send + Sync> MiningTask<'a, P> {
             &self.params,
             &mut bounded,
         );
-        MiningVerdict {
-            completeness: bounded.verdict(),
-            shards: None,
-        }
+        bounded.verdict()
     }
 
     /// Recounts a previously mined candidate lattice against this task's
     /// database and payloads — no mining phase runs — and returns every
     /// candidate's exact support and payload, indexed by candidate id,
-    /// with no threshold filter ([`sharded::recount`]).
+    /// with no threshold filter.
     ///
     /// This is the warm path behind on-disk artifacts: the lattice
     /// depends only on the dataset and the support threshold, so
     /// re-analysis under a new payload vector (a different classifier's
-    /// labels) is exactly one streaming recount pass. The task's
-    /// deadline, cancel token, threads, shard count and prefetch depth
-    /// all apply; [`RecountTallies::emit_frequent`] applies the
-    /// threshold and the itemset cap.
+    /// labels) is exactly one fold over the resident rows, in place and
+    /// sequential. The task's deadline and cancel token apply; the caller
+    /// applies the threshold and the itemset cap where it emits. The
+    /// candidates may be in any order: the fold reuses the prefixes that
+    /// consecutive candidates share.
     ///
     /// # Panics
     ///
@@ -357,13 +279,10 @@ impl<'a, P: Payload + Send + Sync> MiningTask<'a, P> {
             self.db.len(),
             "payload slice length must match transaction count"
         );
-        let k = self.effective_shards().unwrap_or(1);
-        let source = MemShardSource::new(self.db, payloads, k);
-        sharded::recount(
-            &source,
+        recount::recount(
+            self.db,
+            payloads,
             candidates,
-            self.threads,
-            self.prefetch,
             &self.budget,
             self.cancel.as_ref(),
         )
@@ -421,7 +340,7 @@ mod tests {
     }
 
     #[test]
-    fn threads_and_shards_compose_with_budgets() {
+    fn threads_run_the_parallel_engine() {
         let db = db();
         let payloads: Vec<CountPayload> = (0..db.len()).map(|t| CountPayload(t as u64)).collect();
         let mut reference =
@@ -429,46 +348,18 @@ mod tests {
         sort_canonical(&mut reference);
         let threaded = MiningTask::new(&db, 1).payloads(&payloads).threads(4).run();
         assert!(threaded.completeness.is_complete());
-        assert!(threaded.shards.is_none());
         assert_eq!(threaded.into_itemsets(), reference);
-        let sharded = MiningTask::new(&db, 1)
-            .payloads(&payloads)
-            .threads(2)
-            .shards(3)
-            .run();
-        assert!(sharded.completeness.is_complete());
-        assert_eq!(sharded.shards.expect("sharded run").n_shards, 3);
-        assert_eq!(sharded.into_itemsets(), reference);
-    }
-
-    #[test]
-    fn sharded_algorithm_defaults_the_shard_count() {
-        let db = db();
-        let outcome = MiningTask::new(&db, 2).algorithm(Algorithm::Sharded).run();
-        assert_eq!(
-            outcome.shards.expect("sharded run").n_shards,
-            sharded::DEFAULT_SHARDS
-        );
-        let mut got = outcome.into_itemsets();
-        got.sort();
-        let mut reference = crate::naive::mine(
-            &db,
-            &vec![(); db.len()],
-            &MiningParams::with_min_support_count(2),
-        );
-        reference.sort();
-        assert_eq!(got, reference);
     }
 
     #[test]
     fn run_into_streams_and_reports_truncation() {
         let db = db();
         let mut sink = VecSink::new();
-        let verdict = MiningTask::new(&db, 1)
+        let completeness = MiningTask::new(&db, 1)
             .budget(Budget::unlimited().with_max_itemsets(3))
             .run_into(&mut sink);
         assert_eq!(
-            verdict.completeness.truncation_reason(),
+            completeness.truncation_reason(),
             Some(TruncationReason::ItemsetLimit)
         );
         assert_eq!(sink.found.len(), 3);
@@ -499,25 +390,21 @@ mod tests {
             .to_candidates();
         let mut reference = crate::eclat::mine(&db, &new, &MiningParams::with_min_support_count(2));
         sort_canonical(&mut reference);
-        for shards in [None, Some(1), Some(3)] {
-            let mut task = MiningTask::new(&db, 2).payloads(&new);
-            if let Some(k) = shards {
-                task = task.shards(k);
-            }
-            let tallies = task.recount(&candidates);
-            let mut sink = VecSink::new();
-            let completeness = tallies.emit_frequent(&candidates, 2, None, &mut sink);
-            assert!(completeness.is_complete(), "shards={shards:?}");
-            let stats = tallies
-                .verdict
-                .shards
-                .as_ref()
-                .expect("recount reports stats");
-            assert_eq!(stats.shards_mined, 0, "no mining phase ran");
-            let mut got = sink.found;
-            sort_canonical(&mut got);
-            assert_eq!(got, reference, "shards={shards:?}");
-        }
+        let tallies = MiningTask::new(&db, 2).payloads(&new).recount(&candidates);
+        assert!(tallies.completeness.is_complete());
+        assert_eq!(tallies.rows, db.len() as u64);
+        let mut got: Vec<_> = (0..candidates.len())
+            .filter(|&id| tallies.supports[id] >= 2)
+            .map(|id| {
+                FrequentItemset::new(
+                    candidates.items(id).to_vec(),
+                    tallies.supports[id],
+                    tallies.payloads[id],
+                )
+            })
+            .collect();
+        sort_canonical(&mut got);
+        assert_eq!(got, reference);
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl TransactionDb {
         (0..self.len()).map(move |t| self.transaction(t))
     }
 
-    /// Total number of item occurrences across all transactions.
-    pub fn total_item_occurrences(&self) -> usize {
-        self.items.len()
-    }
-
     /// Per-item support counts over the whole database (a length-`n_items`
     /// histogram). This is the first scan of every mining algorithm.
     pub fn item_support_counts(&self) -> Vec<u64> {

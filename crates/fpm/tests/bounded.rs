@@ -45,8 +45,7 @@ proptest! {
             let verdict = task
                 .clone()
                 .budget(budget)
-                .run_into(&mut capped)
-                .completeness;
+                .run_into(&mut capped);
 
             let expected_len = full.found.len().min(cap as usize);
             prop_assert_eq!(capped.found.len(), expected_len, "{}: emission count", algo);
@@ -127,8 +126,7 @@ proptest! {
                 .payloads(&payloads)
                 .algorithm(algo)
                 .cancel(token.clone())
-                .run_into(&mut sink)
-                .completeness;
+                .run_into(&mut sink);
             prop_assert_eq!(sink.found.len(), 0, "{}", algo);
             if !full.found.is_empty() {
                 prop_assert_eq!(

@@ -186,8 +186,7 @@ proptest! {
             .payloads(&payloads)
             .algorithm(Algorithm::Dense)
             .budget(budget)
-            .run_into(&mut sink)
-            .completeness;
+            .run_into(&mut sink);
         prop_assert!(sink.found.len() as u64 <= cap);
         if (full.len() as u64) > cap {
             prop_assert!(verdict.truncation_reason().is_some());
@@ -204,8 +203,7 @@ proptest! {
             .payloads(&payloads)
             .algorithm(Algorithm::Dense)
             .cancel(token)
-            .run_into(&mut sink)
-            .completeness;
+            .run_into(&mut sink);
         if !full.is_empty() {
             prop_assert_eq!(verdict.truncation_reason(),
                 Some(fpm::TruncationReason::Cancelled));
@@ -234,79 +232,11 @@ proptest! {
         }
     }
 
-    /// Sharded two-pass acceptance: for K in {1, 2, 7} the sharded engine
-    /// emits exactly the itemsets, supports, and composite payload tallies
-    /// of dense and eclat — including databases with fewer rows than
-    /// shards, where trailing shards hold zero rows.
+    /// A cut recount holds no tallies and names its reason: a pre-fired
+    /// cancel token stops the warm recount path before any tally, so no
+    /// partially counted sums ever escape.
     #[test]
-    fn sharded_matches_dense_and_eclat(db in small_db(), min_support in 1u64..5, max_len in prop::option::of(1usize..4)) {
-        let payloads: Vec<(CountPayload, CountPayload)> = (0..db.len())
-            .map(|t| (CountPayload(t as u64 % 3), CountPayload(1 + t as u64 % 2)))
-            .collect();
-        let mut params = MiningParams::with_min_support_count(min_support);
-        params.max_len = max_len;
-        let mut eclat = mine(Algorithm::Eclat, &db, &payloads, &params);
-        sort_canonical(&mut eclat);
-        let mut dense = mine(Algorithm::Dense, &db, &payloads, &params);
-        sort_canonical(&mut dense);
-        prop_assert_eq!(&dense, &eclat, "dense vs eclat");
-        for k in [1usize, 2, 7] {
-            let outcome = MiningTask::with_params(&db, params.clone())
-                .payloads(&payloads)
-                .shards(k)
-                .run();
-            prop_assert!(outcome.completeness.is_complete(), "K={}", k);
-            let stats = outcome.shards.expect("sharded run reports stats");
-            prop_assert_eq!(stats.n_shards, k, "K={}", k);
-            let got = outcome.into_itemsets();
-            prop_assert_eq!(&got, &eclat, "sharded K={} vs eclat", k);
-        }
-    }
-
-    /// Pipelined recount acceptance: across shard counts, worker-thread
-    /// counts and prefetch depths, the sharded engine emits exactly the
-    /// itemsets, supports and composite payload tallies of the dense
-    /// engine — the ordered per-shard merge keeps parallel and
-    /// prefetched passes bit-identical to the sequential one.
-    #[test]
-    fn piped_sharded_recounts_match_sequential_and_dense(db in small_db(), min_support in 1u64..5) {
-        let payloads: Vec<(CountPayload, CountPayload)> = (0..db.len())
-            .map(|t| (CountPayload(t as u64 % 3), CountPayload(1 + t as u64 % 2)))
-            .collect();
-        let params = MiningParams::with_min_support_count(min_support);
-        let mut dense = mine(Algorithm::Dense, &db, &payloads, &params);
-        sort_canonical(&mut dense);
-        for k in [1usize, 2, 7] {
-            for threads in [1usize, 4] {
-                for prefetch in [0usize, 2] {
-                    let outcome = MiningTask::with_params(&db, params.clone())
-                        .payloads(&payloads)
-                        .shards(k)
-                        .threads(threads)
-                        .prefetch(prefetch)
-                        .run();
-                    prop_assert!(outcome.completeness.is_complete(),
-                        "K={} t={} d={}", k, threads, prefetch);
-                    let stats = outcome.shards.expect("sharded run reports stats");
-                    prop_assert_eq!(stats.recount_rows as usize, db.len(),
-                        "K={} t={} d={}", k, threads, prefetch);
-                    let ratio = stats.overlap_ratio();
-                    prop_assert!((0.0..=1.0).contains(&ratio),
-                        "K={} t={} d={}: overlap {}", k, threads, prefetch, ratio);
-                    let got = outcome.into_itemsets();
-                    prop_assert_eq!(&got, &dense,
-                        "sharded K={} t={} d={} vs dense", k, threads, prefetch);
-                }
-            }
-        }
-    }
-
-    /// Pipelined recount under a mid-recount cut: a pre-fired cancel
-    /// token stops the warm recount path before any emission for every
-    /// (threads, prefetch) combination, naming the recount phase — no
-    /// partially merged tallies ever escape.
-    #[test]
-    fn piped_recount_cut_emits_nothing(db in small_db(), min_support in 1u64..4) {
+    fn a_cut_recount_holds_no_tallies_and_names_its_reason(db in small_db(), min_support in 1u64..4) {
         let payloads = payloads_for(&db);
         let params = MiningParams::with_min_support_count(min_support);
         let candidates = MiningTask::with_params(&db, params.clone())
@@ -314,32 +244,19 @@ proptest! {
             .run()
             .store
             .to_candidates();
-        for (threads, prefetch) in [(1usize, 0usize), (4, 0), (1, 2), (4, 2)] {
-            let token = fpm::CancelToken::new();
-            token.cancel();
-            let mut sink = fpm::VecSink::new();
-            let tallies = MiningTask::with_params(&db, params.clone())
-                .payloads(&payloads)
-                .shards(2)
-                .threads(threads)
-                .prefetch(prefetch)
-                .cancel(token)
-                .recount(&candidates);
-            tallies.emit_frequent(&candidates, min_support, None, &mut sink);
-            let verdict = tallies.verdict;
-            prop_assert!(sink.found.is_empty(),
-                "t={} d={}: cut recount must emit nothing", threads, prefetch);
-            if !db.is_empty() && !candidates.is_empty() {
-                prop_assert_eq!(
-                    verdict.completeness.truncation_reason(),
-                    Some(fpm::TruncationReason::Cancelled)
-                );
-                prop_assert_eq!(
-                    verdict.shards.expect("stats").truncated_phase,
-                    Some(fpm::ShardPhase::Recount),
-                    "t={} d={}", threads, prefetch
-                );
-            }
+        let token = fpm::CancelToken::new();
+        token.cancel();
+        let tallies = MiningTask::with_params(&db, params.clone())
+            .payloads(&payloads)
+            .cancel(token)
+            .recount(&candidates);
+        if !db.is_empty() && !candidates.is_empty() {
+            prop_assert!(tallies.supports.is_empty(), "a cut recount holds no supports");
+            prop_assert!(tallies.payloads.is_empty(), "a cut recount holds no payloads");
+            prop_assert_eq!(
+                tallies.completeness.truncation_reason(),
+                Some(fpm::TruncationReason::Cancelled)
+            );
         }
     }
 
@@ -405,53 +322,6 @@ proptest! {
         prop_assert_eq!(&diff, &reference, "diffset subtraction");
     }
 
-    /// Sharded under budgets: an expired deadline cuts a phase (reported
-    /// via `ShardStats::truncated_phase`) and emits nothing, while an
-    /// itemset cap at emission yields an exact canonical prefix.
-    #[test]
-    fn sharded_bounded_runs_stay_sound(db in small_db(), min_support in 1u64..4, cap in 1u64..8) {
-        let payloads = payloads_for(&db);
-        let params = MiningParams::with_min_support_count(min_support);
-        let mut full = mine(Algorithm::Eclat, &db, &payloads, &params);
-        sort_canonical(&mut full);
-
-        // Expired deadline: cut mid-phase, nothing emitted, phase named.
-        let mut sink = fpm::VecSink::new();
-        let verdict = MiningTask::with_params(&db, params.clone())
-            .payloads(&payloads)
-            .shards(2)
-            .budget(fpm::Budget::unlimited().with_timeout(std::time::Duration::ZERO))
-            .run_into(&mut sink);
-        prop_assert!(sink.found.is_empty(), "mid-phase cut must emit nothing");
-        if !db.is_empty() {
-            prop_assert_eq!(
-                verdict.completeness.truncation_reason(),
-                Some(fpm::TruncationReason::Timeout)
-            );
-            prop_assert_eq!(
-                verdict.shards.expect("stats").truncated_phase,
-                Some(fpm::ShardPhase::Mine)
-            );
-        }
-
-        // Itemset cap: exact-count prefix of the canonical order.
-        let mut sink = fpm::VecSink::new();
-        let verdict = MiningTask::with_params(&db, params.clone())
-            .payloads(&payloads)
-            .shards(2)
-            .budget(fpm::Budget::unlimited().with_max_itemsets(cap))
-            .run_into(&mut sink);
-        prop_assert!(sink.found.len() as u64 <= cap);
-        let take = sink.found.len();
-        prop_assert_eq!(&sink.found, &full[..take].to_vec(), "prefix mismatch");
-        if (full.len() as u64) > cap {
-            prop_assert_eq!(
-                verdict.completeness.truncation_reason(),
-                Some(fpm::TruncationReason::ItemsetLimit)
-            );
-            prop_assert_eq!(verdict.shards.expect("stats").truncated_phase, None);
-        }
-    }
 }
 
 /// Regression: odd-length buffers whose trailing block carries stale

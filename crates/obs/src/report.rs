@@ -98,9 +98,9 @@ pub struct RunReport {
     pub support_histogram: Vec<HistogramBucket>,
     /// Disabled-telemetry overhead, when the experiment measures it.
     pub overhead: Option<OverheadStat>,
-    /// Sharded-engine telemetry, flattened from `fpm::ShardStats` by the
-    /// caller (this crate sits below `fpm`). All `None` for unsharded
-    /// runs; absent fields in older reports parse as `None`.
+    /// Telemetry of the retired sharded engine. No run sets these any
+    /// more: they stay, always `None`, so committed reports that carry
+    /// them still parse; absent fields in older reports parse as `None`.
     ///
     /// Configured shard count `K`.
     pub shard_count: Option<u64>,

@@ -11,7 +11,7 @@
 //! - [`divexplorer`] — the paper's contribution: divergence, Shapley
 //!   values, global divergence, corrective items, pruning, lattices;
 //! - [`fpm`] — frequent pattern mining (FP-growth, Eclat, a class-mask
-//!   popcount engine and a sharded two-pass engine) with fused payload
+//!   popcount engine and its multi-threaded form) with fused payload
 //!   aggregation;
 //! - [`models`] — decision tree, random forest, logistic regression, MLP;
 //! - [`datasets`] — synthetic stand-ins for the paper's six datasets;

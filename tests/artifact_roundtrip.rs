@@ -23,8 +23,11 @@ fn engines(support: f64) -> Vec<(&'static str, DivExplorer)> {
             "dense",
             DivExplorer::new(support).with_algorithm(Algorithm::Dense),
         ),
-        ("sharded-k1", DivExplorer::new(support).with_shards(1)),
-        ("sharded-k7", DivExplorer::new(support).with_shards(7)),
+        (
+            "fp-growth",
+            DivExplorer::new(support).with_algorithm(Algorithm::FpGrowth),
+        ),
+        ("parallel-t2", DivExplorer::new(support).with_threads(2)),
     ]
 }
 
@@ -148,7 +151,7 @@ proptest! {
     /// delta path agrees too: base tallies under `u`, moved to `u2` by
     /// recounting only the rows that differ, derive every metric exactly
     /// as a cold `explore` under `u2` does, for random, empty and
-    /// every-row flip sets, threads {1, 2} × shards {None, 3}.
+    /// every-row flip sets, with mining threads {1, 2}.
     #[test]
     fn recounting_under_new_predictions_matches_a_fresh_mine(
         (data, v, u) in random_input(),
@@ -171,27 +174,19 @@ proptest! {
         for (flips, target) in [("random", &u2), ("empty", &u), ("every row", &every_row)] {
             let differing = u.iter().zip(target.iter()).filter(|(a, b)| a != b).count();
             for threads in [1, 2] {
-                for shards in [None, Some(3)] {
-                    let mut knobs = explorer.clone().with_threads(threads);
-                    if let Some(k) = shards {
-                        knobs = knobs.with_shards(k);
-                    }
-                    let base = knobs.tally_lattice(&data, &candidates, &v, &u).unwrap();
-                    let delta = knobs
-                        .retally(&data, &candidates, &base, &v, &u, target)
-                        .unwrap();
-                    prop_assert!(delta.completeness().is_complete());
-                    prop_assert_eq!(
-                        delta.shard_stats().map_or(0, |s| s.recount_rows) as usize,
-                        differing
-                    );
-                    let tag = format!("{flips} flips, t={threads} k={shards:?}");
-                    let derived = knobs
-                        .report_from_tallies(&data, &candidates, &delta, &Metric::ALL)
-                        .unwrap();
-                    let cold = explorer.explore(&data, &v, target, &Metric::ALL).unwrap();
-                    assert_reports_bit_identical(&cold, &derived, &tag);
-                }
+                let knobs = explorer.clone().with_threads(threads);
+                let base = knobs.tally_lattice(&data, &candidates, &v, &u).unwrap();
+                let delta = knobs
+                    .retally(&data, &candidates, &base, &v, &u, target)
+                    .unwrap();
+                prop_assert!(delta.completeness().is_complete());
+                prop_assert_eq!(delta.recount_rows() as usize, differing);
+                let tag = format!("{flips} flips, t={threads}");
+                let derived = knobs
+                    .report_from_tallies(&data, &candidates, &delta, &Metric::ALL)
+                    .unwrap();
+                let cold = explorer.explore(&data, &v, target, &Metric::ALL).unwrap();
+                assert_reports_bit_identical(&cold, &derived, &tag);
             }
         }
     }

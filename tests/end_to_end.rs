@@ -68,11 +68,7 @@ fn all_mining_backends_agree_on_generated_data() {
             &[Metric::FalsePositiveRate, Metric::FalseNegativeRate],
         )
         .unwrap();
-    for algo in [
-        fpm::Algorithm::Eclat,
-        fpm::Algorithm::Dense,
-        fpm::Algorithm::Sharded,
-    ] {
+    for algo in [fpm::Algorithm::Eclat, fpm::Algorithm::Dense] {
         let report = DivExplorer::new(0.08)
             .with_algorithm(algo)
             .explore(
