@@ -21,7 +21,7 @@ use std::path::Path;
 
 use datasets::artifact::{self, ArenaKey};
 use datasets::artifact_io::DiskIo;
-use divexplorer::DiscreteDataset;
+use divexplorer::{DiscreteDataset, LatticeTallies};
 
 use crate::{explorer_from_args, prepare, render_explore, Args, CliError, RunStatus};
 
@@ -47,7 +47,7 @@ pub fn run_probe(args: &Args, out: &mut String) -> Result<(), CliError> {
 /// its frequent lattice under the registry key.
 pub fn run_index(args: &Args, content: &str, out: &mut String) -> Result<(), CliError> {
     let prepared = prepare(content, args)?;
-    let candidates = mine_lattice(args, &prepared.data, &prepared.v, &prepared.u)?;
+    let (candidates, _) = mine_lattice(args, &prepared.data, &prepared.v, &prepared.u)?;
     let dir = Path::new(&args.artifact);
     std::fs::create_dir_all(dir).map_err(|e| input_err(&dir.display(), &e))?;
 
@@ -79,7 +79,8 @@ pub fn run_index(args: &Args, content: &str, out: &mut String) -> Result<(), Cli
 }
 
 /// Mines the candidate lattice (items + supports, unit payload) of
-/// `data` as `args` configure it: the one mine step behind `index`, the
+/// `data` as `args` configure it, with the tallies of `(v, u)` over it
+/// that the mining pass counted: the one mine step behind `index`, the
 /// rebuild of a quarantined registry slot and serve's cold mine. Refuses
 /// a budget-truncated lattice, since a partial candidate set would
 /// silently poison every later recount, and normalizes to canonical
@@ -90,19 +91,14 @@ pub(crate) fn mine_lattice(
     data: &DiscreteDataset,
     v: &[bool],
     u: &[bool],
-) -> Result<fpm::ItemsetArena<()>, CliError> {
+) -> Result<(fpm::ItemsetArena<()>, LatticeTallies), CliError> {
     let report = explorer_from_args(args)
         .explore(data, v, u, &args.metrics)
         .map_err(|e| CliError::Input(e.to_string()))?;
     if let Some(reason) = report.completeness().truncation_reason() {
         return Err(CliError::Truncated(reason));
     }
-    let mut candidates = fpm::ItemsetArena::with_capacity(report.len(), 0);
-    for idx in 0..report.len() {
-        candidates.push(report.items(idx), report.support(idx), ());
-    }
-    candidates.sort_canonical();
-    Ok(candidates)
+    Ok(report.into_lattice())
 }
 
 /// `analyze --artifact`: loads the dataset and lattice artifacts and
@@ -128,7 +124,8 @@ pub fn run_analyze(args: &Args, out: &mut String) -> Result<RunStatus, CliError>
         )));
     }
     let resolved = artifact::resolve_lattice(&DiskIo, &arena_path, &key, || {
-        mine_lattice(args, &ds.data, &ds.v, &ds.u)
+        let (lattice, _) = mine_lattice(args, &ds.data, &ds.v, &ds.u)?;
+        Ok(lattice)
     })?;
     for warning in &resolved.warnings {
         let _ = writeln!(out, "warning: {warning}");

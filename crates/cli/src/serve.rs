@@ -4,12 +4,15 @@
 //! The service keeps registered datasets in memory and mined lattices in
 //! a byte-bounded LRU [`ArenaCache`]; with `--artifact DIR` it also
 //! reads and writes the on-disk artifact registry, so a lattice is
-//! mined at most once across restarts. The first query of a lattice
-//! tallies its confusion cells under the registered predictions once
-//! (the *base*); every later query derives its metric from the base
-//! without reading a row, and a query with a *new* prediction vector
-//! supplied inline recounts only the rows where it differs from the
-//! registered one. Serving a fresh model's analysis never re-mines.
+//! mined at most once across restarts. Each registration keeps the
+//! confusion cells of its registered predictions over a lattice (the
+//! *base*). A lattice the session mines carries its base: the cells the
+//! mine counted. A lattice loaded from the registry, or cached by
+//! another registration, tallies its base on its first query, once.
+//! Every query derives its metric from the base without reading a row,
+//! and a query with a *new* prediction vector supplied inline recounts
+//! only the rows where it differs from the registered one. Serving a
+//! fresh model's analysis never re-mines.
 //!
 //! # Protocol
 //!
@@ -106,7 +109,7 @@ struct ServeState {
     datasets: HashMap<String, DatasetArtifact>,
     cache: ArenaCache,
     /// Each registration's base tallies, by registered name: one per
-    /// lattice it was queried on (see [`base_tallies`]).
+    /// lattice it mined or was queried on (see [`base_tallies`]).
     bases: HashMap<String, Vec<Base>>,
     /// The session's live telemetry plane: metrics registry and flight
     /// ring fused behind one lock — the single source of truth every
@@ -116,10 +119,11 @@ struct ServeState {
 }
 
 /// The confusion tallies of one registration's `(v, u)` over one cached
-/// lattice. A base is used only with the lattice it was tallied over
-/// (the `Weak` identifies it and dies with its [`ArenaCache`] slot) and
-/// the registration it was tallied from (re-registering a name drops
-/// its bases). 16 bytes per candidate.
+/// lattice, kept from the mine that built the lattice or tallied on its
+/// first query. A base is used only with the lattice it was tallied
+/// over (the `Weak` identifies it and dies with its [`ArenaCache`] slot)
+/// and the registration it was tallied from (re-registering a name
+/// drops its bases). 16 bytes per candidate.
 struct Base {
     lattice: Weak<ItemsetArena<()>>,
     tallies: LatticeTallies,
@@ -717,6 +721,8 @@ fn truncation_failure(reason: TruncationReason, what: &str) -> Value {
 /// the on-disk registry through [`artifact::resolve_lattice`] (verify,
 /// quarantine a poisoned slot, mine, write through), or a plain cold
 /// mine without `--artifact`. Every recovery step lands in `warnings`.
+/// A lattice mined here seeds registration `name`'s base with the cells
+/// the mine counted.
 fn ensure_lattice(
     state: &mut ServeState,
     args: &Args,
@@ -731,11 +737,17 @@ fn ensure_lattice(
     if let Some(arena) = state.cache.get(&key) {
         return Ok((arena, "cache"));
     }
-    let mine = || {
-        mine_lattice(args, &reg.data, &reg.v, &reg.u).map_err(|e| match e {
-            CliError::Truncated(reason) => truncation_failure(reason, "mining"),
-            other => fail(other.to_string()),
-        })
+    // A mine counts the registration's cells under its own predictions
+    // as it goes; they become its base, so no query recounts the table.
+    let mut mined = None;
+    let mut mine = || {
+        let (lattice, tallies) =
+            mine_lattice(args, &reg.data, &reg.v, &reg.u).map_err(|e| match e {
+                CliError::Truncated(reason) => truncation_failure(reason, "mining"),
+                other => fail(other.to_string()),
+            })?;
+        mined = Some(tallies);
+        Ok(lattice)
     };
     let (lattice, source) = match &state.dir {
         None => (mine()?, "mined"),
@@ -754,6 +766,10 @@ fn ensure_lattice(
     };
     let arena = Arc::new(lattice);
     state.cache.insert(key, Arc::clone(&arena));
+    // After the insert, so the sweep drops the bases of what it evicted.
+    if let Some(tallies) = mined {
+        base_tallies(&mut state.bases, name, &arena, || Ok(tallies))?;
+    }
     Ok((arena, source))
 }
 
@@ -789,10 +805,11 @@ fn handle_mine(state: &mut ServeState, args: &Args, request: &Value) -> Result<V
     ))
 }
 
-/// The base tallies of registration `name` over `lattice`, tallied by
-/// `tally` on the first query that needs them. Bases whose lattice left
-/// the cache are swept first. A tally cut by the deadline or the cancel
-/// token fails soft and is never cached, so the next query tallies anew.
+/// The base tallies of registration `name` over `lattice`: kept from
+/// the mine that built it, or tallied by `tally` on the first query
+/// that needs them. Bases whose lattice left the cache are swept first.
+/// A tally cut by the deadline or the cancel token fails soft and is
+/// never cached, so the next query tallies anew.
 fn base_tallies<'b>(
     bases: &'b mut HashMap<String, Vec<Base>>,
     name: &str,
@@ -844,9 +861,9 @@ fn handle_query(state: &mut ServeState, args: &Args, request: &Value) -> Result<
     let explorer = explorer_from_args(&args);
 
     // The warm path (see DESIGN.md §6g): the registered predictions'
-    // base tallies, tallied on the first query of this lattice; an
-    // inline `u` recounts only the rows where it differs from them. No
-    // mining phase runs.
+    // base tallies, kept from the mine or tallied on the first query of
+    // this lattice; an inline `u` recounts only the rows where it
+    // differs from them. No mining phase runs.
     let base = base_tallies(&mut state.bases, &name, &arena, || {
         explorer
             .tally_lattice(&reg.data, &arena, &reg.v, &reg.u)
@@ -1351,47 +1368,177 @@ b,y,0,1
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The rows request `trace`'s recounts read: the sum of its
+    /// `fpm.sharded.recount_rows` counter events.
+    fn recount_rows_of(trace: &Value) -> u64 {
+        trace["body"]
+            .as_str()
+            .unwrap()
+            .lines()
+            .map(|line| serde_json::from_str::<Value>(line).unwrap())
+            .filter(|ev| ev["ev"] == "counter" && ev["name"] == "fpm.sharded.recount_rows")
+            .map(|ev| ev["delta"].as_u64().unwrap())
+            .sum()
+    }
+
+    /// Whether request `trace` ran a recount layer: the full tally's
+    /// cells, its encode, or the fold itself.
+    fn recounted(trace: &Value) -> bool {
+        let body = trace["body"].as_str().unwrap();
+        [
+            r#""span":"explore.tally""#,
+            r#""span":"explore.encode""#,
+            r#""span":"fpm.sharded.recount""#,
+        ]
+        .iter()
+        .any(|span| body.contains(span))
+    }
+
     #[test]
     fn a_duplicate_metric_fails_before_a_cached_lattice_is_tallied() {
         let dir = temp_dir("duplicate-metric");
         let csv_path = dir.join("toy.csv");
         std::fs::write(&csv_path, CSV).unwrap();
+        let args = serve_args(dir.join("artifacts").to_str().unwrap());
         let query = r#"{"op":"query","name":"toy","support":0.25,"top":3"#;
-        let responses = drive(
+        let session = [
+            register_line(&csv_path),
+            r#"{"op":"mine","name":"toy","support":0.25}"#.to_string(),
+            format!(r#"{query},"metric":"FPR,FPR"}}"#),
+            r#"{"op":"stats"}"#.to_string(),
+            r#"{"op":"trace","req":3}"#.to_string(),
+            format!("{query}}}"),
+            r#"{"op":"trace","req":6}"#.to_string(),
+        ];
+        let session: Vec<&str> = session.iter().map(String::as_str).collect();
+        // The first session mines the lattice, which carries its base;
+        // the restarted one loads it from the registry, with no base.
+        let mined = drive(&args, &session);
+        let loaded = drive(&args, &session);
+        for (responses, source) in [(&mined, "mined"), (&loaded, "artifact")] {
+            assert_eq!(responses[1]["source"].as_str(), Some(source));
+            assert_eq!(
+                responses[2]["ok"].as_bool(),
+                Some(false),
+                "{:?}",
+                responses[2]
+            );
+            let error = responses[2]["error"].as_str().unwrap();
+            assert!(error.contains("'metric'"), "{error}");
+            assert_eq!(responses[3]["cached_lattices"].as_u64(), Some(1));
+            // The malformed request fails fast: its trace holds the
+            // request's own span and no layer of the recount.
+            let failed = responses[4]["body"].as_str().unwrap();
+            assert!(failed.contains(r#""span":"serve.request""#), "{failed}");
+            assert!(!recounted(&responses[4]), "{failed}");
+            assert_eq!(
+                responses[5]["ok"].as_bool(),
+                Some(true),
+                "{:?}",
+                responses[5]
+            );
+        }
+        // The first valid query tallies a loaded lattice's base, and
+        // reads no row of a mined one.
+        assert!(!recounted(&mined[6]), "{:?}", mined[6]);
+        assert_eq!(recount_rows_of(&mined[6]), 0);
+        assert!(recounted(&loaded[6]), "{:?}", loaded[6]);
+        assert_eq!(recount_rows_of(&loaded[6]), 8);
+        assert_eq!(mined[5]["results"], loaded[5]["results"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn after_a_mine_a_query_reads_only_the_rows_its_inline_u_changes() {
+        let dir = temp_dir("seeded-base");
+        let csv_path = dir.join("toy.csv");
+        std::fs::write(&csv_path, CSV).unwrap();
+        let args = serve_args(dir.join("artifacts").to_str().unwrap());
+        let register = register_line(&csv_path);
+        let fpr = r#"{"op":"query","name":"toy","support":0.25,"top":3}"#;
+        let er = r#"{"op":"query","name":"toy","support":0.25,"top":3,"metric":"ER"}"#;
+        // `yhat` is 1,1,1,0,0,0,0,1: this `u` differs in rows 3 and 4.
+        let inline = r#"{"op":"query","name":"toy","support":0.25,"top":3,"u":[1,1,1,1,1,0,0,1]}"#;
+        let session = [
+            register.as_str(),
+            r#"{"op":"mine","name":"toy","support":0.25}"#,
+            fpr,
+            er,
+            inline,
+            r#"{"op":"trace","req":3}"#,
+            r#"{"op":"trace","req":4}"#,
+            r#"{"op":"trace","req":5}"#,
+        ];
+        let mined = drive(&args, &session);
+        let restarted = drive(&args, &session);
+        assert_eq!(mined[1]["source"].as_str(), Some("mined"));
+        assert_eq!(restarted[1]["source"].as_str(), Some("artifact"));
+        for responses in [&mined, &restarted] {
+            for r in responses {
+                assert_eq!(r["ok"].as_bool(), Some(true), "{r:?}");
+            }
+        }
+        // After the mine no query tallies; the metric switch reads no
+        // row, the inline `u` only the two it changes.
+        for trace in &mined[5..7] {
+            assert!(!recounted(trace), "{trace:?}");
+            assert_eq!(recount_rows_of(trace), 0);
+        }
+        assert_eq!(recount_rows_of(&mined[7]), 2);
+        // A lattice from the `.dxa` still tallies its base once, on its
+        // first query, and both sessions answer bit for bit alike.
+        assert!(recounted(&restarted[5]), "{:?}", restarted[5]);
+        assert_eq!(recount_rows_of(&restarted[5]), 8);
+        assert!(!recounted(&restarted[6]), "{:?}", restarted[6]);
+        assert_eq!(recount_rows_of(&restarted[7]), 2);
+        for q in 2..5 {
+            assert_eq!(mined[q]["results"], restarted[q]["results"], "query {q}");
+            assert_eq!(mined[q]["dataset_rate"], restarted[q]["dataset_rate"]);
+        }
+
+        // A query that mines inside itself uses the base it mined.
+        let fresh = drive(
             &serve_args(""),
-            &[
-                &register_line(&csv_path),
-                r#"{"op":"mine","name":"toy","support":0.25}"#,
-                &format!(r#"{query},"metric":"FPR,FPR"}}"#),
-                r#"{"op":"stats"}"#,
-                r#"{"op":"trace","req":3}"#,
-                &format!("{query}}}"),
-                r#"{"op":"trace","req":6}"#,
-            ],
+            &[&register, fpr, r#"{"op":"trace","req":2}"#],
         );
-        assert_eq!(
-            responses[2]["ok"].as_bool(),
-            Some(false),
-            "{:?}",
-            responses[2]
-        );
-        let error = responses[2]["error"].as_str().unwrap();
-        assert!(error.contains("'metric'"), "{error}");
-        assert_eq!(responses[3]["cached_lattices"].as_u64(), Some(1));
-        // The malformed request fails fast: its trace holds the request's
-        // own span and no layer of the recount, and the first valid query
-        // of the lattice still tallies its base.
-        let failed = responses[4]["body"].as_str().unwrap();
-        assert!(failed.contains(r#""span":"serve.request""#), "{failed}");
-        assert!(!failed.contains(r#""span":"explore.tally""#), "{failed}");
-        assert_eq!(
-            responses[5]["ok"].as_bool(),
-            Some(true),
-            "{:?}",
-            responses[5]
-        );
-        let valid = responses[6]["body"].as_str().unwrap();
-        assert!(valid.contains(r#""span":"explore.tally""#), "{valid}");
+        assert_eq!(fresh[1]["source"].as_str(), Some("mined"));
+        assert_eq!(fresh[1]["results"], mined[2]["results"]);
+        assert_eq!(recount_rows_of(&fresh[2]), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_session_that_only_mines_keeps_only_the_bases_of_resident_lattices() {
+        let dir = temp_dir("mine-only");
+        let csv_path = dir.join("toy.csv");
+        std::fs::write(&csv_path, CSV).unwrap();
+        let args = serve_args("");
+        let plane = Arc::new(LiveRecorder::default());
+        let _obs = ObsSession::install(Arc::clone(&plane));
+        // A one-byte cache keeps only the lattice it took last.
+        let mut state = ServeState {
+            dir: None,
+            datasets: HashMap::new(),
+            cache: ArenaCache::new(1),
+            bases: HashMap::new(),
+            plane,
+        };
+        let send = |state: &mut ServeState, line: &str| {
+            let (reply, _) = handle_request(state, &args, &Ok(serde_json::from_str(line).unwrap()));
+            assert_eq!(reply["ok"].as_bool(), Some(true), "{reply:?}");
+            reply
+        };
+        send(&mut state, &register_line(&csv_path));
+        // The last mine re-mines a lattice the cache evicted.
+        for support in [0.25, 0.5, 0.75, 0.25] {
+            let line = format!(r#"{{"op":"mine","name":"toy","support":{support}}}"#);
+            let reply = send(&mut state, &line);
+            assert_eq!(reply["source"].as_str(), Some("mined"));
+            assert_eq!(state.cache.len(), 1);
+            let held = &state.bases["toy"];
+            assert_eq!(held.len(), 1, "support {support}");
+            assert!(held[0].lattice.strong_count() > 0, "support {support}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

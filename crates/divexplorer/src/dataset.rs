@@ -122,12 +122,19 @@ impl DiscreteDataset {
     /// The rows `rows`, in the order given, as a transaction table over
     /// the whole item universe — e.g. only the rows whose prediction
     /// changed, for a delta recount. Built straight from
-    /// [`DiscreteDataset::row`]; no sub-dataset is materialized.
+    /// [`DiscreteDataset::row`]; no sub-dataset is materialized. The
+    /// table is sized up front, one item per attribute, and each row is
+    /// already in item order (item ids follow attribute offsets), so
+    /// nothing is reallocated or sorted.
     pub(crate) fn transactions_of(
         &self,
-        rows: impl IntoIterator<Item = usize>,
+        rows: impl ExactSizeIterator<Item = usize>,
     ) -> fpm::TransactionDb {
-        let mut builder = fpm::TransactionDbBuilder::new(self.schema.n_items());
+        let mut builder = fpm::TransactionDbBuilder::with_capacity(
+            self.schema.n_items(),
+            rows.len(),
+            rows.len() * self.n_attributes(),
+        );
         let mut buf: Vec<ItemId> = Vec::with_capacity(self.n_attributes());
         for r in rows {
             buf.clear();

@@ -635,7 +635,8 @@ fn validate_metrics(metrics: &[Metric]) -> Result<(), ExploreError> {
 
 /// The confusion cells of every candidate of one lattice under one
 /// `(v, u)`, plus the whole table's: what [`DivExplorer::tally_lattice`]
-/// counts and [`DivExplorer::retally`] moves to new predictions.
+/// counts, [`DivergenceReport::into_lattice`] keeps from a mining pass
+/// and [`DivExplorer::retally`] moves to new predictions.
 ///
 /// Metric-free: [`DivExplorer::report_from_tallies`] derives any metric
 /// list from it without reading a row. The cells are aligned with the
@@ -651,6 +652,17 @@ pub struct LatticeTallies {
 }
 
 impl LatticeTallies {
+    /// Complete tallies of cells a mining pass already counted
+    /// ([`DivergenceReport::into_lattice`]): no row was recounted.
+    pub(crate) fn counted(cells: Vec<ConfusionCells>, dataset: ConfusionCells) -> Self {
+        LatticeTallies {
+            cells,
+            dataset,
+            completeness: Completeness::Complete,
+            rows: 0,
+        }
+    }
+
     /// Whether the recount finished, or which limit cut it.
     pub fn completeness(&self) -> &Completeness {
         &self.completeness
@@ -819,6 +831,87 @@ mod tests {
         }
         candidates.sort_canonical();
         candidates
+    }
+
+    /// 120 seeded rows over three small domains, so most rows repeat.
+    fn duplicate_rows() -> (DiscreteDataset, Vec<bool>, Vec<bool>) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let n = 120;
+        let mut column =
+            |domain: u16| -> Vec<u16> { (0..n).map(|_| rng.gen_range(0..domain)).collect() };
+        let (p, q, r) = (column(2), column(3), column(2));
+        let mut b = DatasetBuilder::new();
+        b.categorical("p", &["0", "1"], &p);
+        b.categorical("q", &["0", "1", "2"], &q);
+        b.categorical("r", &["0", "1"], &r);
+        let v: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.5)).collect();
+        let u: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.6)).collect();
+        (b.build().unwrap(), v, u)
+    }
+
+    #[test]
+    fn a_mined_lattice_carries_the_tallies_a_full_recount_counts() {
+        let metrics = Metric::ALL;
+        for (data, v, u) in [fixture(), duplicate_rows()] {
+            let distinct: std::collections::HashSet<_> =
+                (0..data.n_rows()).map(|r| data.row(r).to_vec()).collect();
+            assert!(distinct.len() < data.n_rows(), "the table repeats rows");
+            for algorithm in fpm::Algorithm::ALL {
+                let explorer = DivExplorer::new(0.05).with_algorithm(algorithm);
+                let report = explorer.explore(&data, &v, &u, &metrics).unwrap();
+                let reference = candidates_of(&report);
+                let (candidates, kept) = report.into_lattice();
+                assert_eq!(candidates.len(), reference.len(), "{algorithm}");
+                assert_eq!(candidates.total_items(), reference.total_items());
+                for id in 0..reference.len() {
+                    assert_eq!(candidates.items(id), reference.items(id), "{algorithm}");
+                    assert_eq!(candidates.support(id), reference.support(id));
+                }
+
+                let recounted = explorer.tally_lattice(&data, &candidates, &v, &u).unwrap();
+                assert!(kept.completeness().is_complete());
+                assert_eq!(kept.recount_rows(), 0);
+                assert_eq!(recounted.recount_rows(), data.n_rows() as u64);
+                assert_eq!(kept.cells, recounted.cells, "{algorithm}");
+                assert_eq!(kept.dataset, recounted.dataset, "{algorithm}");
+
+                let derive = |tallies: &LatticeTallies| {
+                    explorer
+                        .report_from_tallies(&data, &candidates, tallies, &metrics)
+                        .unwrap()
+                };
+                let (from_kept, from_recount) = (derive(&kept), derive(&recounted));
+                assert_eq!(from_kept.len(), from_recount.len());
+                for m in 0..metrics.len() {
+                    let rate = |r: &DivergenceReport| r.dataset_rate(m).to_bits();
+                    assert_eq!(rate(&from_kept), rate(&from_recount));
+                    for idx in 0..from_kept.len() {
+                        assert_eq!(from_kept.items(idx), from_recount.items(idx));
+                        assert_eq!(from_kept.counts(idx), from_recount.counts(idx));
+                        let bits = |r: &DivergenceReport| {
+                            (
+                                r.divergence(idx, m).to_bits(),
+                                r.t_statistic(idx, m).to_bits(),
+                            )
+                        };
+                        assert_eq!(bits(&from_kept), bits(&from_recount), "{algorithm}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "part of its lattice")]
+    fn a_truncated_report_has_no_lattice_to_give() {
+        let (data, v, u) = fixture();
+        let report = DivExplorer::new(0.1)
+            .with_budget(Budget::unlimited().with_max_itemsets(2))
+            .explore(&data, &v, &u, &[Metric::ErrorRate])
+            .unwrap();
+        assert!(report.completeness().is_truncated());
+        let _ = report.into_lattice();
     }
 
     #[test]

@@ -12,7 +12,8 @@ use std::collections::BinaryHeap;
 
 use fpm::{Completeness, ItemsetArena, SubsetEdge};
 
-use crate::counts::{CountedCells, MetricCells, MultiCounts, OutcomeCounts};
+use crate::counts::{ConfusionCells, CountedCells, MetricCells, MultiCounts, OutcomeCounts};
+use crate::explorer::LatticeTallies;
 use crate::item::ItemId;
 use crate::schema::Schema;
 use crate::stats::p_value_two_sided;
@@ -138,6 +139,37 @@ impl DivergenceReport {
     /// patterns; Theorem 5.1's completeness half does not apply to them.
     pub fn completeness(&self) -> &Completeness {
         &self.completeness
+    }
+
+    /// The report's canonical candidate lattice, the unit-payload arena
+    /// that artifacts persist and the recount reads, together with the
+    /// [`LatticeTallies`] of the report's own `(v, u)` over it. No row is
+    /// read: the report's arena is sorted in place and its item buffer
+    /// moves into the lattice.
+    ///
+    /// The cells are the integers the mining pass folded, so the tallies
+    /// equal [`crate::DivExplorer::tally_lattice`] over the lattice under
+    /// the same `(v, u)`, cell for cell; [`LatticeTallies::recount_rows`]
+    /// reads 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the report is truncated: it holds part of its lattice.
+    pub fn into_lattice(self) -> (ItemsetArena<()>, LatticeTallies) {
+        assert!(
+            self.completeness.is_complete(),
+            "a truncated report holds part of its lattice"
+        );
+        let mut store = self.store;
+        store.sort_canonical();
+        let (candidates, counted) = store.split_payloads();
+        let cells = counted
+            .iter()
+            .enumerate()
+            .map(|(id, cells)| ConfusionCells::from_counted(candidates.support(id), cells))
+            .collect();
+        let dataset = ConfusionCells::from_counted(self.n_rows as u64, &self.dataset_cells);
+        (candidates, LatticeTallies::counted(cells, dataset))
     }
 
     /// Shorthand: true iff the exploration was not truncated.

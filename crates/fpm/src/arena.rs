@@ -263,16 +263,29 @@ impl<P> ItemsetArena<P> {
             .collect()
     }
 
-    /// Copies the lattice shape — items and supports, no payloads — into
-    /// a unit-payload arena: the form persisted by on-disk artifacts and
-    /// consumed by [`crate::MiningTask::recount`]. Record order is
-    /// preserved.
-    pub fn to_candidates(&self) -> ItemsetArena<()> {
-        let mut out = ItemsetArena::with_capacity(self.len(), self.total_items());
-        for id in 0..self.len() {
-            out.push(self.items(id), self.support(id), ());
+    /// Splits the arena into its lattice shape — items and supports, a
+    /// unit-payload arena with the same ids, the form persisted by
+    /// on-disk artifacts and consumed by [`crate::MiningTask::recount`] —
+    /// and its payloads in id order. The flat item buffer moves into the
+    /// shape; nothing is copied but the records.
+    pub fn split_payloads(self) -> (ItemsetArena<()>, Vec<P>) {
+        let mut recs = Vec::with_capacity(self.recs.len());
+        let mut payloads = Vec::with_capacity(self.recs.len());
+        for rec in self.recs {
+            recs.push(Record {
+                offset: rec.offset,
+                len: rec.len,
+                support: rec.support,
+                payload: (),
+            });
+            payloads.push(rec.payload);
         }
-        out
+        let shape = ItemsetArena {
+            items: self.items,
+            recs,
+            index: OnceLock::new(),
+        };
+        (shape, payloads)
     }
 
     /// Builds an arena from the seed representation.
@@ -586,6 +599,27 @@ mod tests {
         let order: Vec<&[ItemId]> = arena.iter().map(|e| e.items).collect();
         assert_eq!(order, vec![&[0][..], &[2], &[0, 1], &[0, 2]]);
         assert_eq!(arena.find(&[0, 1]), Some(2));
+    }
+
+    #[test]
+    fn split_payloads_keeps_ids_and_moves_the_item_buffer() {
+        let mut arena = sample_arena();
+        arena.push(&[2], 1, CountPayload(5));
+        arena.sort_canonical();
+        let kept: Vec<(Vec<ItemId>, u64, CountPayload)> = arena
+            .iter()
+            .map(|e| (e.items.to_vec(), e.support, *e.payload))
+            .collect();
+        let buffer = arena.items.as_ptr();
+        let (shape, payloads) = arena.split_payloads();
+        assert_eq!(shape.items.as_ptr(), buffer);
+        let split: Vec<(Vec<ItemId>, u64, CountPayload)> = shape
+            .iter()
+            .zip(payloads)
+            .map(|(e, payload)| (e.items.to_vec(), e.support, payload))
+            .collect();
+        assert_eq!(split, kept);
+        assert_eq!(shape.find(&[0, 1]), Some(3));
     }
 
     #[test]

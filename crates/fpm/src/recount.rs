@@ -235,7 +235,8 @@ mod tests {
             .payloads(payloads)
             .run()
             .store
-            .to_candidates();
+            .split_payloads()
+            .0;
         lattice.sort_canonical();
         lattice
     }

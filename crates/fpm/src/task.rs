@@ -387,7 +387,8 @@ mod tests {
             .algorithm(Algorithm::Eclat)
             .run()
             .store
-            .to_candidates();
+            .split_payloads()
+            .0;
         let mut reference = crate::eclat::mine(&db, &new, &MiningParams::with_min_support_count(2));
         sort_canonical(&mut reference);
         let tallies = MiningTask::new(&db, 2).payloads(&new).recount(&candidates);

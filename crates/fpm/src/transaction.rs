@@ -103,32 +103,47 @@ pub struct TransactionDbBuilder {
 impl TransactionDbBuilder {
     /// Starts an empty database over the universe `0..n_items`.
     pub fn new(n_items: u32) -> Self {
+        Self::with_capacity(n_items, 0, 0)
+    }
+
+    /// Starts an empty database over the universe `0..n_items` with room
+    /// for `rows` transactions of `items` items in total, so pushing
+    /// that many reallocates nothing.
+    pub fn with_capacity(n_items: u32, rows: usize, items: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
         Self {
             n_items,
-            offsets: vec![0],
-            items: Vec::new(),
+            offsets,
+            items: Vec::with_capacity(items),
             scratch: Vec::new(),
         }
     }
 
-    /// Appends one transaction. The row is copied, sorted and deduplicated.
+    /// Appends one transaction. A strictly ascending row is copied as it
+    /// is; any other row is copied, sorted and deduplicated.
     ///
     /// # Panics
     ///
     /// Panics if the row references an item `>= n_items`.
     pub fn push(&mut self, row: &[ItemId]) {
-        self.scratch.clear();
-        self.scratch.extend_from_slice(row);
-        self.scratch.sort_unstable();
-        self.scratch.dedup();
-        if let Some(&max) = self.scratch.last() {
+        let row = if row.windows(2).all(|w| w[0] < w[1]) {
+            row
+        } else {
+            self.scratch.clear();
+            self.scratch.extend_from_slice(row);
+            self.scratch.sort_unstable();
+            self.scratch.dedup();
+            &self.scratch
+        };
+        if let Some(&max) = row.last() {
             assert!(
                 max < self.n_items,
                 "item id {max} out of universe 0..{}",
                 self.n_items
             );
         }
-        self.items.extend_from_slice(&self.scratch);
+        self.items.extend_from_slice(row);
         self.offsets.push(self.items.len());
     }
 
@@ -158,8 +173,10 @@ mod tests {
 
     #[test]
     fn rows_are_sorted_and_deduplicated() {
-        let db = TransactionDb::from_rows(10, &[vec![3, 1, 3, 2]]);
-        assert_eq!(db.transaction(0), &[1, 2, 3]);
+        let rows = [vec![3, 1, 3, 2], vec![0, 2, 4], vec![4, 0, 2], vec![5, 5]];
+        let db = TransactionDb::from_rows(10, &rows);
+        let want: [&[ItemId]; 4] = [&[1, 2, 3], &[0, 2, 4], &[0, 2, 4], &[5]];
+        assert_eq!(db.iter().collect::<Vec<_>>(), want);
     }
 
     #[test]

@@ -243,7 +243,8 @@ proptest! {
             .payloads(&payloads)
             .run()
             .store
-            .to_candidates();
+            .split_payloads()
+            .0;
         let token = fpm::CancelToken::new();
         token.cancel();
         let tallies = MiningTask::with_params(&db, params.clone())

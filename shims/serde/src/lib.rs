@@ -144,6 +144,13 @@ pub trait Serialize {
 
 pub trait Deserialize: Sized {
     fn from_value(v: &Value) -> Result<Self, Error>;
+
+    /// Rebuilds `Self` from a value the caller gives up, such as a
+    /// freshly parsed document. The default borrows it; a [`Value`]
+    /// takes it whole instead of copying it.
+    fn from_owned(v: Value) -> Result<Self, Error> {
+        Self::from_value(&v)
+    }
 }
 
 macro_rules! serialize_int {
@@ -290,5 +297,9 @@ impl Serialize for Value {
 impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, Error> {
         Ok(v.clone())
+    }
+
+    fn from_owned(v: Value) -> Result<Self, Error> {
+        Ok(v)
     }
 }

@@ -43,7 +43,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
             parser.pos
         )));
     }
-    T::from_value(&value)
+    T::from_owned(value)
 }
 
 // ---------------------------------------------------------------------
@@ -348,6 +348,51 @@ mod tests {
     #[test]
     fn integers_print_without_fraction() {
         assert_eq!(to_string(&vec![3u64]).unwrap(), "[\n3\n]".replace('\n', ""));
+    }
+
+    #[test]
+    fn nested_documents_parse_whole_and_equal_their_copies() {
+        let text =
+            r#"{"op":"query","u":[0,1,true,null,-2.5],"deep":{"a":[{"b":"c\n"},[]],"e":{}}}"#;
+        let parsed: Value = from_str(text).unwrap();
+        let copied: Value = from_value(&parsed).unwrap();
+        assert_eq!(parsed, copied);
+        assert_eq!(parsed["u"][2].as_bool(), Some(true));
+        assert_eq!(parsed["deep"]["a"][0]["b"], "c\n");
+        let back: Value = from_str(&to_string(&parsed).unwrap()).unwrap();
+        assert_eq!(back, parsed);
+    }
+
+    #[test]
+    fn numbers_parse_to_the_bits_of_str_parse() {
+        // A number is the f64 `str::parse` makes of its token, also
+        // past 2^53 and past u64.
+        let (digits20, digits24) = ("99999999999999999999", "123456789012345678901234");
+        for token in [
+            "0",
+            "1",
+            "007",
+            "-0",
+            "0.5",
+            "1e3",
+            "-17",
+            "999999999999999",
+            "-999999999999999",
+            "9007199254740993",
+            digits20,
+            digits24,
+        ] {
+            let parsed: Value = from_str(token).unwrap();
+            let want = token.parse::<f64>().unwrap();
+            assert_eq!(
+                parsed.as_f64().map(f64::to_bits),
+                Some(want.to_bits()),
+                "{token}"
+            );
+        }
+        for bad in ["-", "1-2", "1.2.3"] {
+            assert!(from_str::<Value>(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
