@@ -107,6 +107,8 @@ pub(crate) fn mine_lattice(
 /// a warning, exit 0). A *missing* lattice artifact stays a typed error
 /// with a re-index hint: a registry-key miss is a parameter mismatch,
 /// not corruption, and silently mining at the wrong key would mask it.
+/// The hint names the engines whose slot does hold this lattice, so a
+/// registry indexed under another `--engine` says so.
 pub fn run_analyze(args: &Args, out: &mut String) -> Result<RunStatus, CliError> {
     let dir = Path::new(&args.artifact);
     let dataset_path = dir.join(artifact::dataset_file_name(&args.name));
@@ -114,12 +116,29 @@ pub fn run_analyze(args: &Args, out: &mut String) -> Result<RunStatus, CliError>
         .map_err(|e| input_err(&dataset_path.display(), &e))?;
     let explorer = explorer_from_args(args);
 
-    let key = ArenaKey::new(ds.hash, ds.data.n_rows(), args.support, args.engine);
+    let key_of = |engine| ArenaKey::new(ds.hash, ds.data.n_rows(), args.support, engine);
+    let key = key_of(args.engine);
     let arena_path = dir.join(artifact::arena_file_name(&key));
     if !arena_path.exists() {
+        let held: Vec<String> = fpm::Algorithm::ALL
+            .into_iter()
+            .map(key_of)
+            .filter(|other| dir.join(artifact::arena_file_name(other)).exists())
+            .map(|other| other.engine)
+            .collect();
+        let hint = if held.is_empty() {
+            "index this dataset first with `divexplorer index` using the same \
+             --support and --engine"
+                .to_string()
+        } else {
+            format!(
+                "this lattice is indexed under --engine {}; pass that engine, \
+                 or index again with this one",
+                held.join(", ")
+            )
+        };
         return Err(CliError::Input(format!(
-            "{}: artifact not found (index this dataset first with \
-             `divexplorer index` using the same --support and --engine)",
+            "{}: artifact not found ({hint})",
             arena_path.display()
         )));
     }

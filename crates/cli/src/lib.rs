@@ -260,9 +260,9 @@ OPTIONS:
   --trace-json FILE  stream telemetry (spans, counters, histograms) to FILE
                      as newline-delimited JSON
   --stats            print an aggregated telemetry summary to stderr
-  --engine NAME      mining engine: fp-growth, eclat or dense (class-mask
-                     popcount counting); the registry key records it
-                     [fp-growth]
+  --engine NAME      mining engine: dense (class-mask popcount counting),
+                     fp-growth (faster on tall tables) or eclat; the
+                     registry key records it [dense]
   --threads N        worker threads (N >= 1) for mining; at most one per
                      root subtree runs, and the recount stays sequential [1]
 
@@ -312,7 +312,7 @@ impl Args {
             max_depth: None,
             trace_json: None,
             stats: false,
-            engine: fpm::Algorithm::FpGrowth,
+            engine: fpm::Algorithm::Dense,
             threads: 1,
             artifact: String::new(),
             name: String::new(),
@@ -1086,8 +1086,10 @@ age,grp,y,yhat
 
     #[test]
     fn engine_flag_parses_and_rejects_unknown_names() {
+        // The library's default engine, so a plain `explore` mines the
+        // way `DivExplorer::new` does.
         let args = Args::parse(base_args("explore")).unwrap();
-        assert_eq!(args.engine, fpm::Algorithm::FpGrowth);
+        assert_eq!(args.engine, fpm::Algorithm::Dense);
 
         for (name, algo) in [
             ("fp-growth", fpm::Algorithm::FpGrowth),
@@ -1518,6 +1520,51 @@ age,grp,y,yhat
             !datasets::artifact::quarantine_path(&dataset_file).exists(),
             "dataset artifacts are never quarantined"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_engine_miss_names_the_engine_the_registry_holds() {
+        // A registry indexed under another engine than the default: a
+        // plain analyze misses its key, stays a typed exit-3 error, and
+        // says which slot is there instead of reading or mining it.
+        let dir = artifact_temp_dir("engine-miss");
+        let mut argv = index_args(&dir);
+        argv.extend(["--engine".to_string(), "fp-growth".to_string()]);
+        let args = Args::parse(argv).unwrap();
+        run_with_content(&args, CSV, &mut String::new()).unwrap();
+        let slots = || -> Vec<String> {
+            let mut names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+                .filter(|name| name.ends_with(".dxa"))
+                .collect();
+            names.sort();
+            names
+        };
+        let indexed = slots();
+        assert!(indexed[0].ends_with("-fp-growth.dxa"), "{indexed:?}");
+
+        let analyze = Args::parse(vec![
+            "analyze".to_string(),
+            "--artifact".to_string(),
+            dir.to_str().unwrap().to_string(),
+            "--name".to_string(),
+            "toy".to_string(),
+            "--support".to_string(),
+            "0.25".to_string(),
+        ])
+        .unwrap();
+        let err = artifacts::run_analyze(&analyze, &mut String::new()).unwrap_err();
+        assert!(matches!(err, CliError::Input(_)), "{err}");
+        assert_eq!(err.exit_code(), 3);
+        let message = err.to_string();
+        assert!(
+            message.contains("-dense.dxa: artifact not found"),
+            "{message}"
+        );
+        assert!(message.contains("--engine fp-growth"), "{message}");
+        assert_eq!(slots(), indexed);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

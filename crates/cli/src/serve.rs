@@ -1191,18 +1191,28 @@ b,y,0,1
                 r#"{"op":"mine","name":"toy","support":0.25,"engine":"Dense"}"#,
                 r#"{"op":"mine","name":"toy","support":0.25,"engine":"dense"}"#,
                 r#"{"op":"mine","name":"toy","support":0.25,"engine":" dense "}"#,
+                r#"{"op":"mine","name":"toy","support":0.25}"#,
+                r#"{"op":"mine","name":"toy","support":0.25,"engine":"fp-growth"}"#,
             ],
         );
         assert_eq!(responses[1]["source"].as_str(), Some("mined"));
         assert_eq!(responses[2]["source"].as_str(), Some("cache"));
         assert_eq!(responses[3]["source"].as_str(), Some("cache"));
+        // A request that names no engine keys `dense`, the default.
+        assert_eq!(responses[4]["source"].as_str(), Some("cache"));
+        // Another engine is another key: the same lattice, mined again
+        // into a second slot.
+        assert_eq!(responses[5]["source"].as_str(), Some("mined"));
+        assert_eq!(responses[5]["patterns"], responses[1]["patterns"]);
         let files = registry_files();
-        let dxa: Vec<_> = files
+        let dxa: Vec<String> = files
             .iter()
             .filter(|p| p.extension().is_some_and(|e| e == "dxa"))
+            .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
             .collect();
-        assert_eq!(dxa.len(), 1, "{files:?}");
-        assert!(dxa[0].to_string_lossy().contains("dense"), "{dxa:?}");
+        assert_eq!(dxa.len(), 2, "{files:?}");
+        assert!(dxa.iter().any(|f| f.ends_with("-dense.dxa")), "{dxa:?}");
+        assert!(dxa.iter().any(|f| f.ends_with("-fp-growth.dxa")), "{dxa:?}");
 
         // An unknown engine is rejected before the cache or the registry
         // is consulted, naming the engines that exist.
@@ -1562,7 +1572,7 @@ b,y,0,1
         };
         let lines = [
             register("ages", ""),
-            r#"{"op":"query","name":"ages","support":0.25,"top":3}"#.to_string(),
+            r#"{"op":"query","name":"ages","support":0.25,"top":3,"engine":"fp-growth"}"#.to_string(),
             r#"{"op":"query","name":"ages","support":0.25,"top":3,"engine":"dense","threads":100000000000}"#.to_string(),
             r#"{"op":"query","name":"ages","support":0.25,"top":3,"engine":"eclat","shards":1000000000000}"#.to_string(),
             register("wide", r#","bins":100000000000"#),
@@ -1581,7 +1591,8 @@ b,y,0,1
             );
         }
         // The parallel engine mined the same lattice with one worker per
-        // root subtree.
+        // root subtree: the first query keyed `fp-growth`, so the dense
+        // one missed the cache and mined.
         assert_eq!(responses[2]["source"].as_str(), Some("mined"));
         assert_eq!(responses[2]["patterns"], responses[1]["patterns"]);
         assert_eq!(responses[2]["results"], responses[1]["results"]);

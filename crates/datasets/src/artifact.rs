@@ -383,6 +383,21 @@ fn unpack_bits(bytes: &[u8], n: usize) -> Vec<bool> {
     (0..n).map(|i| bytes[i / 8] & (1 << (i % 8)) != 0).collect()
 }
 
+/// The 64-bit words of an LSB-first bitset of `n` bits packed in
+/// `n.div_ceil(8)` bytes, first word first, with the padding bits past
+/// `n` cleared.
+fn bit_words(bytes: &[u8], n: usize) -> impl Iterator<Item = u64> + '_ {
+    bytes.chunks(8).enumerate().map(move |(w, chunk)| {
+        let mut le = [0u8; 8];
+        le[..chunk.len()].copy_from_slice(chunk);
+        let word = u64::from_le_bytes(le);
+        match n - w * 64 {
+            live @ 0..=63 => word & ((1 << live) - 1),
+            _ => word,
+        }
+    })
+}
+
 // ---------------------------------------------------------------------
 // Dataset artifacts
 
@@ -467,6 +482,9 @@ pub fn decode_dataset(bytes: &[u8]) -> Result<DatasetArtifact, ArtifactError> {
 
     // Rebuild row-major codes from the per-item bitsets, checking the
     // one-hot invariant: every (row, attribute) cell set exactly once.
+    // Each plane is read a word at a time and only its set bits are
+    // visited, in row order, so the first violation found is the one a
+    // bit-by-bit scan would report.
     let stride = n_rows.div_ceil(8);
     let bits = envelope.section(SEC_ITEM_BITS)?;
     if bits.len() != n_items * stride {
@@ -481,8 +499,10 @@ pub fn decode_dataset(bytes: &[u8]) -> Result<DatasetArtifact, ArtifactError> {
         for c in 0..schema.cardinality(a) {
             let id = schema.item_id(a, c) as usize;
             let plane = &bits[id * stride..(id + 1) * stride];
-            for r in 0..n_rows {
-                if plane[r / 8] & (1 << (r % 8)) != 0 {
+            for (w, mut word) in bit_words(plane, n_rows).enumerate() {
+                while word != 0 {
+                    let r = w * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
                     let cell = &mut codes[r * n_attrs + a];
                     if *cell != u16::MAX {
                         return Err(ArtifactError::Malformed(format!(
@@ -548,7 +568,8 @@ pub fn save_dataset_with(
     let bytes = encode_dataset(data, v, u);
     atomic_write(io, path, &bytes)?;
     obs::counter("artifact.write_bytes", bytes.len() as u64);
-    Ok(dataset_hash(data))
+    // The header's dataset hash (offset 12): the encode computed it.
+    Ok(read_u64(&bytes, 12))
 }
 
 /// Reads and validates a dataset artifact from `path`.
@@ -896,6 +917,36 @@ mod tests {
         (data, v, u)
     }
 
+    /// `n` rows whose three attributes cycle with periods 3, 2 and 5, so
+    /// every item recurs within any five rows.
+    fn sized(n: usize) -> (DiscreteDataset, Vec<bool>, Vec<bool>) {
+        let column = |period: usize| (0..n).map(|r| (r % period) as u16).collect::<Vec<_>>();
+        let mut b = DatasetBuilder::new();
+        b.categorical("color", &["red", "green", "blue"], &column(3));
+        b.categorical("size", &["small", "large"], &column(2));
+        b.categorical("mark", &["a", "b", "c", "d", "e"], &column(5));
+        let data = b.build().unwrap();
+        let v = (0..n).map(|r| r % 3 == 1).collect();
+        let u = (0..n).map(|r| r % 4 != 2).collect();
+        (data, v, u)
+    }
+
+    /// Dataset artifact `bytes` with the item bitset section passed
+    /// through `edit`, then re-framed and re-checksummed, so the edit is
+    /// the only difference the decoder can see.
+    fn with_item_bits(bytes: &[u8], mut edit: impl FnMut(&mut [u8])) -> Vec<u8> {
+        let envelope = Envelope::parse(bytes).unwrap();
+        let mut w = Writer::new(envelope.kind, envelope.hash);
+        for &(tag, section) in &envelope.sections {
+            let mut section = section.to_vec();
+            if tag == SEC_ITEM_BITS {
+                edit(&mut section);
+            }
+            w.section(tag, section);
+        }
+        w.finish()
+    }
+
     fn sample_arena() -> ItemsetArena<()> {
         let mut arena = ItemsetArena::new();
         arena.push(&[0], 5, ());
@@ -907,17 +958,38 @@ mod tests {
 
     #[test]
     fn dataset_roundtrip_is_bit_identical() {
-        let (data, v, u) = sample();
-        let bytes = encode_dataset(&data, &v, &u);
-        let loaded = decode_dataset(&bytes).unwrap();
-        assert_eq!(loaded.v, v);
-        assert_eq!(loaded.u, u);
-        assert_eq!(loaded.hash, dataset_hash(&data));
-        for r in 0..data.n_rows() {
-            assert_eq!(loaded.data.row(r), data.row(r));
+        // The sample, then row counts either side of the item bitsets'
+        // byte and word boundaries.
+        let tables = std::iter::once(sample()).chain([1, 7, 8, 9, 63, 64, 65, 127, 129].map(sized));
+        for (data, v, u) in tables {
+            let n = data.n_rows();
+            let bytes = encode_dataset(&data, &v, &u);
+            let loaded = decode_dataset(&bytes).unwrap();
+            assert_eq!(loaded.v, v, "{n} rows");
+            assert_eq!(loaded.u, u, "{n} rows");
+            assert_eq!(loaded.hash, dataset_hash(&data), "{n} rows");
+            for r in 0..n {
+                assert_eq!(loaded.data.row(r), data.row(r), "{n} rows, row {r}");
+            }
+            let again = encode_dataset(&loaded.data, &loaded.v, &loaded.u);
+            assert_eq!(again, bytes, "save → load → save must be bit-identical");
+
+            // Padding bits past the last row in each item's last byte
+            // are ignored.
+            if n % 8 != 0 {
+                let stride = n.div_ceil(8);
+                let padded = with_item_bits(&bytes, |bits| {
+                    for plane in bits.chunks_mut(stride) {
+                        plane[stride - 1] |= !0u8 << (n % 8);
+                    }
+                });
+                let loaded = decode_dataset(&padded).unwrap();
+                assert_eq!(loaded.hash, dataset_hash(&data), "{n} rows");
+                for r in 0..n {
+                    assert_eq!(loaded.data.row(r), data.row(r), "{n} rows, row {r}");
+                }
+            }
         }
-        let again = encode_dataset(&loaded.data, &loaded.v, &loaded.u);
-        assert_eq!(again, bytes, "save → load → save must be bit-identical");
     }
 
     #[test]
@@ -978,7 +1050,7 @@ mod tests {
     }
 
     #[test]
-    fn version_bump_fails_closed_even_with_a_fixed_checksum() {
+    fn tampers_behind_a_fixed_checksum_fail_closed_with_typed_errors() {
         let (data, v, u) = sample();
         let mut bytes = encode_dataset(&data, &v, &u);
         bytes[4..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
@@ -993,6 +1065,30 @@ mod tests {
                 want: FORMAT_VERSION,
             }
         );
+
+        // One-hot violations in the last, partial word of the bitsets:
+        // the last row's color also set by another item, or by none.
+        for n in [65, 127, 129] {
+            let (data, v, u) = sized(n);
+            let bytes = encode_dataset(&data, &v, &u);
+            let (stride, r) = (n.div_ceil(8), n - 1);
+            let code = data.row(r)[0] as usize;
+            let bit = |item: usize| (item * stride + r / 8, 1u8 << (r % 8));
+            let (at, mask) = bit(data.schema().item_id(0, (code + 1) % 3) as usize);
+            let twice = with_item_bits(&bytes, |bits| bits[at] |= mask);
+            assert_eq!(
+                decode_dataset(&twice).unwrap_err(),
+                ArtifactError::Malformed(format!("row {r} attribute 0 is set by two items")),
+                "{n} rows"
+            );
+            let (at, mask) = bit(data.schema().item_id(0, code) as usize);
+            let never = with_item_bits(&bytes, |bits| bits[at] &= !mask);
+            assert_eq!(
+                decode_dataset(&never).unwrap_err(),
+                ArtifactError::Malformed(format!("row {r} attribute 0 has no item")),
+                "{n} rows"
+            );
+        }
     }
 
     #[test]
@@ -1021,6 +1117,16 @@ mod tests {
         assert_eq!(info.hash, dataset_hash(&data));
         assert_eq!(info.bytes, bytes.len() as u64);
         assert_eq!(info.sections, 4);
+
+        // A save returns the hash its header records.
+        let io = crate::artifact_io::MemIo::new();
+        let path = Path::new("registry/sample.dxd");
+        let saved = save_dataset_with(&io, path, &data, &v, &u).unwrap();
+        assert_eq!(saved, dataset_hash(&data));
+        assert_eq!(
+            probe_bytes(&io.contents(path).unwrap()).unwrap().hash,
+            saved
+        );
     }
 
     #[test]
