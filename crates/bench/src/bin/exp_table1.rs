@@ -73,6 +73,7 @@ fn main() {
     ];
 
     let mut table = TextTable::new(["Itemset", "metric", "rate"]);
+    let mut rates = Vec::new();
     for (mut items, metric, m) in examples {
         items.sort_unstable();
         let rate = report
@@ -84,11 +85,27 @@ fn main() {
             metric.short_name().to_string(),
             fmt_f(rate, 3),
         ]);
+        rates.push((metric, rate));
     }
     table.print();
     println!(
         "\nShape check (paper): the 4-item pattern has the highest FPR; adding #prior=0 \
          instead of #prior>3 drops the Afr-Am/Male FPR below the pair's rate."
+    );
+    let four_item = rates[0].1;
+    let highest_fpr = rates
+        .iter()
+        .filter(|(metric, _)| *metric == Metric::FalsePositiveRate)
+        .map(|&(_, rate)| rate)
+        .fold(f64::NEG_INFINITY, f64::max);
+    assert!(
+        four_item == highest_fpr,
+        "the 4-item pattern's FPR {four_item:.3} must be the highest FPR row ({highest_fpr:.3})"
+    );
+    let (pair, prior_zero) = (rates[2].1, rates[4].1);
+    assert!(
+        prior_zero < pair,
+        "#prior=0 must drop the Afr-Am/Male FPR below the pair's: {prior_zero:.3} vs {pair:.3}"
     );
 
     let mut run = obs::RunReport::new("table1", "compas", telemetry::engine(&snapshot))

@@ -83,26 +83,18 @@ impl fpm::Payload for OutcomeCounts {
     }
 
     /// Lowers to three counting classes — `T`, `F`, `⊥` — when every
-    /// per-transaction tally is a membership indicator (each field 0 or
-    /// 1), the [`OutcomeCounts::from_outcome`] shape.
+    /// per-transaction tally is the indicator of at most one outcome, the
+    /// [`OutcomeCounts::from_outcome`] shape.
     fn mask_spec(payloads: &[Self]) -> Option<MaskSpec> {
         payloads
             .iter()
-            .all(|c| c.t <= 1 && c.f <= 1 && c.bot <= 1)
+            .all(|c| u64::from(c.t) + u64::from(c.f) + u64::from(c.bot) <= 1)
             .then(|| MaskSpec::leaf(3))
     }
-    fn encode_classes(&self, _spec: &MaskSpec, set: &mut dyn FnMut(usize)) {
-        if self.t == 1 {
-            set(0);
-        }
-        if self.f == 1 {
-            set(1);
-        }
-        if self.bot == 1 {
-            set(2);
-        }
+    fn class_of(&self) -> Option<usize> {
+        [self.t, self.f, self.bot].iter().position(|&c| c == 1)
     }
-    fn decode_classes(_spec: &MaskSpec, counts: &[u64]) -> Self {
+    fn decode_classes(counts: &[u64]) -> Self {
         OutcomeCounts {
             t: counts[0] as u32,
             f: counts[1] as u32,
@@ -218,21 +210,18 @@ impl fpm::Payload for CountedCells {
     }
 
     /// Lowers to the three classes TP, FP, FN when every per-row payload
-    /// is a cell indicator, the [`CountedCells::of_row`] shape.
+    /// is the indicator of at most one cell, the [`CountedCells::of_row`]
+    /// shape (a TN row is in no class).
     fn mask_spec(payloads: &[Self]) -> Option<MaskSpec> {
         payloads
             .iter()
-            .all(|p| p.0.iter().all(|&c| c <= 1))
+            .all(|p| p.0.iter().map(|&c| u64::from(c)).sum::<u64>() <= 1)
             .then(|| MaskSpec::leaf(3))
     }
-    fn encode_classes(&self, _spec: &MaskSpec, set: &mut dyn FnMut(usize)) {
-        for (class, &c) in self.0.iter().enumerate() {
-            if c == 1 {
-                set(class);
-            }
-        }
+    fn class_of(&self) -> Option<usize> {
+        self.0.iter().position(|&c| c == 1)
     }
-    fn decode_classes(_spec: &MaskSpec, counts: &[u64]) -> Self {
+    fn decode_classes(counts: &[u64]) -> Self {
         CountedCells([counts[0] as u32, counts[1] as u32, counts[2] as u32])
     }
 }
@@ -399,18 +388,33 @@ mod tests {
             .collect();
         let masks = fpm::ClassMasks::build(&payloads).expect("indicators are maskable");
         assert_eq!(masks.n_classes(), 3);
-        let tids = [0u32, 2, 3, 4];
+        // TP rows first, then FP, then FN; the TN row is in no class.
+        assert_eq!(masks.rows(), &[0, 4, 1, 2, 3]);
+        assert_eq!(masks.cuts(), &[2, 3, 4]);
+        let picked_rows = [0u32, 2, 3, 4];
+        let tids = positions(&masks, &picked_rows);
         let mut counts = vec![0u64; 3];
         masks.count_sparse(&tids, &mut counts);
         let decoded: CountedCells = masks.decode(&counts);
-        let picked: Vec<(bool, bool)> = tids.iter().map(|&t| rows[t as usize]).collect();
+        let picked: Vec<(bool, bool)> = picked_rows.iter().map(|&t| rows[t as usize]).collect();
         assert_eq!((tids.len() as u64, decoded), cells_of(&picked));
+    }
+
+    /// The positions of `rows` in `masks`' layout, ascending: how a test
+    /// hands row ids to the position-based tallies.
+    fn positions(masks: &fpm::ClassMasks, rows: &[u32]) -> Vec<u32> {
+        (0..masks.rows().len() as u32)
+            .filter(|&p| rows.contains(&masks.rows()[p as usize]))
+            .collect()
     }
 
     #[test]
     fn aggregated_counted_cells_are_not_maskable() {
-        // A tally of 2 is not a class membership; the lowering must bail.
+        // A tally of 2 is not a class membership, and a row counted in
+        // two cells is in two classes; the lowering must bail on both.
         let (_, cells) = cells_of(&[(true, true), (true, true)]);
+        assert!(CountedCells::mask_spec(&[cells]).is_none());
+        let (_, cells) = cells_of(&[(true, true), (false, true)]);
         assert!(CountedCells::mask_spec(&[cells]).is_none());
     }
 
@@ -493,12 +497,12 @@ mod tests {
             .collect();
         let masks = fpm::ClassMasks::build(&payloads).expect("indicators are maskable");
         assert_eq!(masks.n_classes(), 3);
-        let tids = [0u32, 2, 3, 5];
+        let rows = [0u32, 2, 3, 5];
         let mut counts = vec![0u64; 3];
-        masks.count_sparse(&tids, &mut counts);
+        masks.count_sparse(&positions(&masks, &rows), &mut counts);
         let decoded: OutcomeCounts = masks.decode(&counts);
         let mut expected = OutcomeCounts::zero();
-        for &t in &tids {
+        for &t in &rows {
             expected.merge(&payloads[t as usize]);
         }
         assert_eq!(decoded, expected);
@@ -506,8 +510,11 @@ mod tests {
 
     #[test]
     fn aggregated_outcome_counts_are_not_maskable() {
-        // A tally of 2 is not a class membership; the lowering must bail.
+        // A tally of 2 is not a class membership, and a row with two
+        // outcomes is in two classes; the lowering must bail on both.
         let payloads = [OutcomeCounts { t: 2, f: 0, bot: 0 }];
+        assert!(OutcomeCounts::mask_spec(&payloads).is_none());
+        let payloads = [OutcomeCounts { t: 1, f: 0, bot: 1 }];
         assert!(OutcomeCounts::mask_spec(&payloads).is_none());
     }
 }

@@ -1,10 +1,10 @@
-//! Packed bit vectors over transaction ids: the dense tidset
-//! representation shared by the [`crate::dense`] engine, the
-//! [`crate::masks`] class masks and the [`crate::recount`] fold.
+//! Packed bit vectors over transaction positions: the dense tidset
+//! representation shared by the [`crate::dense`] engine and the
+//! [`crate::recount`] fold.
 
 use crate::kernels::{self, AlignedWords};
 
-/// A packed bit vector over transaction ids, backed by 64-byte-aligned
+/// A packed bit vector over transaction positions, backed by 64-byte-aligned
 /// word storage so the counting kernels' wide loads never split a cache
 /// line. Counting goes through the process-selected [`kernels::Kernel`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,7 +108,7 @@ impl Bitset {
     #[track_caller]
     pub fn and_into(&self, other: &Bitset, out: &mut AlignedWords) {
         self.check_len(other);
-        out.resize_zeroed(self.words.len());
+        out.resize_for_overwrite(self.words.len());
         for ((o, a), b) in out
             .as_mut_slice()
             .iter_mut()

@@ -3,18 +3,20 @@
 //! The merge-based miners realize payload fusion as a per-tid
 //! [`Payload::merge`] walk; on DivExplorer's dense one-item-per-attribute
 //! databases that walk dominates runtime. This engine removes it entirely
-//! for payloads that lower into [`ClassMasks`]: outcome counters become
-//! `popcount(tidset & class_mask)` — a few cache lines of word-wide ANDs
-//! per itemset.
+//! for payloads that lower into [`ClassMasks`]: tidsets hold the rows'
+//! cell-ordered positions, so each counting class is one range of bits and
+//! a node's outcome counters are its popcount split at the class
+//! boundaries.
 //!
 //! Three tidset representations are used adaptively per lattice node:
 //!
 //! - **Dense** ([`Bitset`]): support density at or above
-//!   [`Config::sparse_cutoff`]. Intersection is word-AND, counting is
-//!   AND + popcount against the masks.
+//!   [`Config::sparse_cutoff`]. A frequent child's support is first an
+//!   AND + popcount that materializes nothing; the survivors are then
+//!   ANDed, stored and split-counted in one fused pass.
 //! - **Sparse** (sorted tid-list): below the cutoff, where a word scan
-//!   would mostly touch zeros. Counting probes each tid against the
-//!   masks.
+//!   would mostly touch zeros. Counting binary-searches the list for
+//!   each class boundary.
 //! - **Diffset** (dEclat, Zaki & Gouda 2003): when every frequent child
 //!   of a node retains more than [`Config::diffset_ratio`] of its
 //!   parent's support — the deep-recursion regime on dense data — the
@@ -292,6 +294,7 @@ pub fn mine_into_with<P: Payload, S: ItemsetSink<P>>(
 /// Builds the frequent 1-itemset nodes, choosing each root's
 /// representation up front from the per-item support histogram (so the
 /// fill pass neither reallocates nor builds bitsets it will discard).
+/// The fill walks positions, not rows, so tid-lists come out sorted.
 pub(crate) fn build_roots(
     db: &TransactionDb,
     ctx: &Ctx<'_>,
@@ -318,12 +321,12 @@ pub(crate) fn build_roots(
             }
         })
         .collect();
-    for (t, row) in db.iter().enumerate() {
-        for &item in row {
+    for (p, &row) in ctx.masks.rows().iter().enumerate() {
+        for &item in db.transaction(row as usize) {
             match &mut slots[item as usize] {
                 Slot::Skip => {}
-                Slot::Dense(bs) => bs.set(t),
-                Slot::Sparse(list) => list.push(t as u32),
+                Slot::Dense(bs) => bs.set(p),
+                Slot::Sparse(list) => list.push(p as u32),
             }
         }
     }
@@ -331,24 +334,24 @@ pub(crate) fn build_roots(
         .into_iter()
         .enumerate()
         .filter_map(|(item, slot)| {
-            let (tids, support) = match slot {
+            let tids = match slot {
                 Slot::Skip => return None,
-                Slot::Dense(bs) => {
-                    let support = bs.count();
-                    (TidSet::Dense(bs), support)
-                }
-                Slot::Sparse(list) => {
-                    let support = list.len() as u64;
-                    (TidSet::Sparse(list), support)
-                }
+                Slot::Dense(bs) => TidSet::Dense(bs),
+                Slot::Sparse(list) => TidSet::Sparse(list),
             };
             let mut counts = pool.take_counts();
             counts.resize(ctx.masks.n_classes(), 0);
-            match &tids {
-                TidSet::Dense(bs) => stats.words_anded += ctx.masks.count_dense(bs, &mut counts),
-                TidSet::Sparse(list) => ctx.masks.count_sparse(list, &mut counts),
+            let support = match &tids {
+                TidSet::Dense(bs) => {
+                    stats.words_anded += bs.n_words() as u64;
+                    ctx.masks.count_dense(bs, &mut counts)
+                }
+                TidSet::Sparse(list) => {
+                    ctx.masks.count_sparse(list, &mut counts);
+                    list.len() as u64
+                }
                 TidSet::Diff(_) => unreachable!("roots are never diffsets"),
-            }
+            };
             Some(Node {
                 item: item as ItemId,
                 support,
@@ -511,35 +514,37 @@ fn tids_children(
 
     for c in cands {
         let sib = &right[c.sib];
+        let mut counts = pool.take_counts();
+        counts.resize(ctx.masks.n_classes(), 0);
         let tids = match c.mat {
             // Already a sorted list; intersections only shrink, so a
             // sparse node is never promoted back to a bitset.
-            Some(list) => TidSet::Sparse(list),
+            Some(list) => {
+                ctx.masks.count_sparse(&list, &mut counts);
+                TidSet::Sparse(list)
+            }
             None => {
                 let (TidSet::Dense(a), TidSet::Dense(b)) = (&parent.tids, &sib.tids) else {
                     unreachable!("phase 1 only skips materialization for dense pairs")
                 };
                 stats.words_anded += a.n_words() as u64;
                 if c.support as f64 / ctx.n_rows as f64 >= ctx.config.sparse_cutoff {
+                    // One fused pass: the child's words, support and
+                    // class counts.
                     let mut words = pool.take_words();
-                    a.and_into(b, &mut words);
+                    let support = ctx.masks.and_count_into(a, b, &mut words, &mut counts);
+                    debug_assert_eq!(support, c.support);
                     TidSet::Dense(Bitset::from_words(words))
                 } else {
                     // Crossed the density cutoff: fall to a tid-list.
                     stats.repr_switches += 1;
                     let mut list = pool.take_tids();
                     a.and_collect(b, &mut list);
+                    ctx.masks.count_sparse(&list, &mut counts);
                     TidSet::Sparse(list)
                 }
             }
         };
-        let mut counts = pool.take_counts();
-        counts.resize(ctx.masks.n_classes(), 0);
-        match &tids {
-            TidSet::Dense(bs) => stats.words_anded += ctx.masks.count_dense(bs, &mut counts),
-            TidSet::Sparse(list) => ctx.masks.count_sparse(list, &mut counts),
-            TidSet::Diff(_) => unreachable!(),
-        }
         out.push(Node {
             item: sib.item,
             support: c.support,
@@ -638,7 +643,7 @@ mod tests {
     use super::*;
     use crate::itemset::sort_canonical;
     use crate::naive;
-    use crate::payload::CountPayload;
+    use crate::payload::tests::Classes;
 
     fn db() -> TransactionDb {
         TransactionDb::from_rows(
@@ -671,9 +676,7 @@ mod tests {
     #[test]
     fn agrees_with_naive_across_all_configs() {
         let db = db();
-        let payloads: Vec<CountPayload> = (0..db.len())
-            .map(|t| CountPayload(5 * t as u64 + 1))
-            .collect();
+        let payloads: Vec<Classes> = (0..db.len()).map(Classes::of_row).collect();
         let configs = [
             Config::default(),
             // All-dense, no diffsets.
@@ -760,7 +763,7 @@ mod tests {
             .map(|t| if t % 2 == 0 { vec![0, 1] } else { vec![0] })
             .collect();
         let db = TransactionDb::from_rows(2, &rows);
-        let payloads: Vec<CountPayload> = (0..150).map(|t| CountPayload(t % 7)).collect();
+        let payloads: Vec<Classes> = (0..150).map(Classes::of_row).collect();
         let mut expected = naive::mine(&db, &payloads, &MiningParams::with_min_support_count(70));
         let mut got = mine(&db, &payloads, &MiningParams::with_min_support_count(70));
         sort_canonical(&mut expected);

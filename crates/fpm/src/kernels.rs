@@ -1,18 +1,18 @@
 //! Runtime-dispatched AND+popcount kernels behind every tally.
 //!
 //! All engines in this crate reduce the paper's `(T, F, ⊥)` tallies to
-//! `popcount(tidset & class_mask)`; this module owns that inner loop so
-//! the bit-identical contract lives in exactly one place:
+//! popcounts of tidsets over the range layout of
+//! [`crate::masks::ClassMasks`], where each counting class is one range
+//! of bit positions. This module owns those inner loops, so the
+//! bit-identical contract lives in exactly one place:
 //!
 //! - [`Kernel::count`] / [`Kernel::and_count`] — population count of a
 //!   word buffer / of an intersection, without materializing it.
-//! - [`Kernel::tally`] — the **fused multi-mask tally**: one streaming
-//!   pass over the tidset's words that accumulates popcounts against
-//!   *all* class masks simultaneously. The masks are laid out
-//!   cache-blocked (see [`plane_words`]): per 8-word block of the tidset,
-//!   each class contributes one contiguous 64-byte line, so a tidset
-//!   cache line is touched once — not once per class as the historical
-//!   per-class loop did.
+//! - [`Kernel::split_count`] — one pass that returns a tidset's popcount
+//!   and the popcount below each class boundary (its *cuts*).
+//! - [`Kernel::and_split_into`] — the split count fused into an
+//!   intersection that it also stores: a dense node's words, support and
+//!   class counts from one pass.
 //!
 //! Two implementations are selectable: `Scalar` (the reference
 //! word-by-word zip) and `Simd` (AVX2 256-bit loads/ANDs with hardware
@@ -40,9 +40,8 @@ struct Block([u64; BLOCK_WORDS]);
 
 /// A growable `u64` buffer whose storage is 64-byte aligned.
 ///
-/// Backing store for [`crate::bitset::Bitset`] words, the dense
-/// engine's buffer pool, and [`crate::masks::ClassMasks`] planes. The
-/// buffer rounds its capacity up to whole [`Block`]s; the logical length
+/// Backing store for [`crate::bitset::Bitset`] words and the dense
+/// engine's buffer pool. The buffer rounds its capacity up to whole [`Block`]s; the logical length
 /// is tracked in words, and padding words past `len` inside the last
 /// block are never observable through [`AlignedWords::as_slice`].
 #[derive(Debug, Clone, Default)]
@@ -99,16 +98,13 @@ impl AlignedWords {
         self.len = 0;
     }
 
-    /// Resizes to `n_words`, zero-filling any newly exposed words (both
-    /// grown blocks and recycled padding).
-    pub fn resize_zeroed(&mut self, n_words: usize) {
+    /// Resizes to `n_words` without clearing: recycled words keep stale
+    /// values (grown blocks start zeroed), so the caller must overwrite
+    /// every word before reading any.
+    pub fn resize_for_overwrite(&mut self, n_words: usize) {
         self.blocks
             .resize(n_words.div_ceil(BLOCK_WORDS), Block::default());
-        let old = self.len;
         self.len = n_words;
-        if n_words > old {
-            self.as_mut_slice()[old..].fill(0);
-        }
     }
 }
 
@@ -191,14 +187,9 @@ impl Kernel {
         self == Kernel::Simd && simd_available()
     }
 
-    /// Population count of `words`.
+    /// Population count of `words`: a split count with no cuts.
     pub fn count(self, words: &[u64]) -> u64 {
-        #[cfg(target_arch = "x86_64")]
-        if self.use_avx2() {
-            // SAFETY: `use_avx2` just checked that the CPU has avx2 and popcnt.
-            return unsafe { avx2::count(words) };
-        }
-        words.iter().map(|w| w.count_ones() as u64).sum()
+        self.split_count(words, &[], &mut [])
     }
 
     /// Popcount of `a & b` without materializing the intersection.
@@ -218,47 +209,132 @@ impl Kernel {
             .sum()
     }
 
-    /// The fused multi-mask tally: overwrites `counts[c]` with
-    /// `popcount(tids & mask_c)` for every class in one streaming pass
-    /// over `tids`.
-    ///
-    /// `planes` is the cache-blocked mask layout of [`plane_words`]: for
-    /// each 8-word block `blk` of the tidset, class `c`'s words occupy
-    /// `planes[blk * 8 * n_classes + c * 8 ..][..8]` — one 64-byte line
-    /// per (block, class), zero-padded past the tidset's last word so
-    /// full-block arithmetic never consults the tail length.
-    pub fn tally(self, tids: &[u64], planes: &[u64], n_classes: usize, counts: &mut [u64]) {
-        // The AVX2 body reads planes through raw pointers: these bounds
-        // are what keep it in range, so they hold in release builds too.
-        assert_eq!(counts.len(), n_classes, "one count per class");
-        assert_eq!(
-            planes.len(),
-            plane_words(tids.len(), n_classes),
-            "planes must hold one line per (block, class)"
-        );
-        counts.fill(0);
-        if n_classes == 0 || tids.is_empty() {
-            return;
+    /// The split count: returns the popcount of `words`, and overwrites
+    /// `prefix[i]` with the popcount of the bits below position `cuts[i]`.
+    /// `cuts` must ascend (equal cuts are an empty class), stay within
+    /// `64 · words.len()`, and be as long as `prefix`.
+    pub fn split_count(self, words: &[u64], cuts: &[u32], prefix: &mut [u64]) -> u64 {
+        let mut split = Split::new(cuts, prefix, words.len());
+        #[cfg(target_arch = "x86_64")]
+        if self.use_avx2() {
+            // SAFETY: `use_avx2` just checked that the CPU has avx2 and popcnt.
+            unsafe { avx2::split_count(words, &mut split) };
+            return split.finish();
         }
+        split.count(words);
+        split.finish()
+    }
+
+    /// The fused intersection: overwrites `out` with `a & b` and returns
+    /// its [`Kernel::split_count`], in one pass over the operands, which
+    /// must have `out`'s length.
+    pub fn and_split_into(
+        self,
+        a: &[u64],
+        b: &[u64],
+        out: &mut [u64],
+        cuts: &[u32],
+        prefix: &mut [u64],
+    ) -> u64 {
+        // The AVX2 body reads and writes through raw pointers: these
+        // bounds keep it in range, so they hold in release builds too.
+        assert!(
+            a.len() == out.len() && b.len() == out.len(),
+            "kernel operands must match"
+        );
+        let mut split = Split::new(cuts, prefix, out.len());
         #[cfg(target_arch = "x86_64")]
         if self.use_avx2() {
             // SAFETY: `use_avx2` just checked that the CPU has avx2 and
-            // popcnt, and the asserts above keep every plane read inside
-            // `planes`.
-            unsafe { avx2::tally(tids, planes, counts) };
-            return;
+            // popcnt, and the assert above keeps every access in range.
+            unsafe { avx2::and_split_into(a, b, out, &mut split) };
+            return split.finish();
         }
-        for (blk, tblock) in tids.chunks(BLOCK_WORDS).enumerate() {
-            let base = blk * BLOCK_WORDS * n_classes;
-            for (c, slot) in counts.iter_mut().enumerate() {
-                let plane = &planes[base + c * BLOCK_WORDS..][..BLOCK_WORDS];
-                *slot += tblock
-                    .iter()
-                    .zip(plane)
-                    .map(|(t, p)| (t & p).count_ones() as u64)
-                    .sum::<u64>();
+        for (w, ((o, x), y)) in out.iter_mut().zip(a).zip(b).enumerate() {
+            *o = x & y;
+            split.word(w, *o);
+        }
+        split.finish()
+    }
+}
+
+/// The running state of a split count: the total so far, and the next
+/// cut whose prefix is still to be recorded.
+struct Split<'a> {
+    cuts: &'a [u32],
+    prefix: &'a mut [u64],
+    /// Index of the next unrecorded cut.
+    next: usize,
+    /// The word that holds that cut (`usize::MAX` once none is left).
+    next_word: usize,
+    total: u64,
+}
+
+impl<'a> Split<'a> {
+    fn new(cuts: &'a [u32], prefix: &'a mut [u64], n_words: usize) -> Self {
+        // Only the results rest on these: every access is bounds-checked.
+        debug_assert_eq!(cuts.len(), prefix.len(), "one prefix per cut");
+        debug_assert!(
+            cuts.windows(2).all(|w| w[0] <= w[1])
+                && cuts.last().is_none_or(|&c| c as usize <= 64 * n_words),
+            "cuts must ascend inside the tidset"
+        );
+        let next_word = cuts.first().map_or(usize::MAX, |&c| c as usize / 64);
+        Split {
+            cuts,
+            prefix,
+            next: 0,
+            next_word,
+            total: 0,
+        }
+    }
+
+    /// True iff no unrecorded cut lies before word `end`.
+    #[inline(always)]
+    fn clear_before(&self, end: usize) -> bool {
+        self.next_word >= end
+    }
+
+    /// Counts word `w`, whose (ANDed) value is `x`, recording the
+    /// prefixes of the cuts inside it. Words arrive in order.
+    #[inline(always)]
+    fn word(&mut self, w: usize, x: u64) {
+        while self.next_word == w {
+            let below = x & ((1u64 << (self.cuts[self.next] % 64)) - 1);
+            self.prefix[self.next] = self.total + below.count_ones() as u64;
+            self.next += 1;
+            self.next_word = self
+                .cuts
+                .get(self.next)
+                .map_or(usize::MAX, |&c| c as usize / 64);
+        }
+        self.total += x.count_ones() as u64;
+    }
+
+    /// Counts `words` from word 0: each aligned 8-word block that holds
+    /// no cut in bulk, the other words one by one.
+    #[inline(always)]
+    fn count(&mut self, words: &[u64]) {
+        let mut w = 0;
+        while w < words.len() {
+            match words.get(w..w + BLOCK_WORDS) {
+                Some(run) if w % BLOCK_WORDS == 0 && self.clear_before(w + BLOCK_WORDS) => {
+                    self.total += run.iter().map(|x| x.count_ones() as u64).sum::<u64>();
+                    w += BLOCK_WORDS;
+                }
+                _ => {
+                    self.word(w, words[w]);
+                    w += 1;
+                }
             }
         }
+    }
+
+    /// Records the cuts past the last word (at `64 · n_words`) and
+    /// returns the total.
+    fn finish(self) -> u64 {
+        self.prefix[self.next..].fill(self.total);
+        self.total
     }
 }
 
@@ -266,12 +342,6 @@ impl std::fmt::Display for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// Length of the cache-blocked plane buffer for `n_words`-word masks and
-/// `n_classes` classes: one zero-padded 8-word line per (block, class).
-pub fn plane_words(n_words: usize, n_classes: usize) -> usize {
-    n_words.div_ceil(BLOCK_WORDS) * BLOCK_WORDS * n_classes
 }
 
 fn simd_available() -> bool {
@@ -322,7 +392,7 @@ pub fn publish_selected(words_anded: u64) {
 /// scalar tails. Callers must verify `avx2` + `popcnt` at runtime.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::BLOCK_WORDS;
+    use super::{Split, BLOCK_WORDS};
     use std::arch::x86_64::*;
 
     /// Popcount of one 8-word block already ANDed into two 256-bit
@@ -335,20 +405,6 @@ mod avx2 {
         _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, lo);
         _mm256_storeu_si256(lanes.as_mut_ptr().add(4) as *mut __m256i, hi);
         lanes.iter().map(|w| w.count_ones() as u64).sum()
-    }
-
-    #[target_feature(enable = "avx2", enable = "popcnt")]
-    pub unsafe fn count(words: &[u64]) -> u64 {
-        let full = words.len() / BLOCK_WORDS;
-        let mut total = 0u64;
-        for blk in 0..full {
-            let p = words.as_ptr().add(blk * BLOCK_WORDS) as *const __m256i;
-            total += popcount_2x256(_mm256_loadu_si256(p), _mm256_loadu_si256(p.add(1)));
-        }
-        for w in &words[full * BLOCK_WORDS..] {
-            total += w.count_ones() as u64;
-        }
-        total
     }
 
     #[target_feature(enable = "avx2", enable = "popcnt")]
@@ -369,34 +425,38 @@ mod avx2 {
         total
     }
 
+    /// [`super::Kernel::split_count`]'s body, with hardware popcounts.
     #[target_feature(enable = "avx2", enable = "popcnt")]
-    pub unsafe fn tally(tids: &[u64], planes: &[u64], counts: &mut [u64]) {
-        let full = tids.len() / BLOCK_WORDS;
-        let mut base = 0;
-        for blk in 0..full {
-            // Load the tidset line once; it stays in registers while the
-            // classes' lines stream past.
-            let pt = tids.as_ptr().add(blk * BLOCK_WORDS) as *const __m256i;
-            let t_lo = _mm256_loadu_si256(pt);
-            let t_hi = _mm256_loadu_si256(pt.add(1));
-            for slot in counts.iter_mut() {
-                let pp = planes.as_ptr().add(base) as *const __m256i;
-                let lo = _mm256_and_si256(t_lo, _mm256_loadu_si256(pp));
-                let hi = _mm256_and_si256(t_hi, _mm256_loadu_si256(pp.add(1)));
-                *slot += popcount_2x256(lo, hi);
-                base += BLOCK_WORDS;
-            }
-        }
-        let tail = &tids[full * BLOCK_WORDS..];
-        if !tail.is_empty() {
-            for slot in counts.iter_mut() {
-                let plane = &planes[base..base + BLOCK_WORDS];
-                let mut s = 0u64;
-                for (t, p) in tail.iter().zip(plane) {
-                    s += (t & p).count_ones() as u64;
-                }
-                *slot += s;
-                base += BLOCK_WORDS;
+    pub unsafe fn split_count(words: &[u64], split: &mut Split<'_>) {
+        split.count(words);
+    }
+
+    /// [`super::Kernel::and_split_into`]'s body: each aligned 8-word
+    /// block that holds no cut is ANDed and stored 256 bits at a time,
+    /// the other words one by one (an unaligned run would split cache
+    /// lines). The caller checked the three lengths.
+    #[target_feature(enable = "avx2", enable = "popcnt")]
+    pub unsafe fn and_split_into(a: &[u64], b: &[u64], out: &mut [u64], split: &mut Split<'_>) {
+        let n = out.len();
+        let mut w = 0;
+        while w < n {
+            if w % BLOCK_WORDS == 0 && w + BLOCK_WORDS <= n && split.clear_before(w + BLOCK_WORDS) {
+                let (pa, pb) = (
+                    a.as_ptr().add(w) as *const __m256i,
+                    b.as_ptr().add(w) as *const __m256i,
+                );
+                let lo = _mm256_and_si256(_mm256_loadu_si256(pa), _mm256_loadu_si256(pb));
+                let hi =
+                    _mm256_and_si256(_mm256_loadu_si256(pa.add(1)), _mm256_loadu_si256(pb.add(1)));
+                let po = out.as_mut_ptr().add(w) as *mut __m256i;
+                _mm256_storeu_si256(po, lo);
+                _mm256_storeu_si256(po.add(1), hi);
+                split.total += popcount_2x256(lo, hi);
+                w += BLOCK_WORDS;
+            } else {
+                out[w] = a[w] & b[w];
+                split.word(w, out[w]);
+                w += 1;
             }
         }
     }
@@ -420,24 +480,21 @@ mod tests {
             .collect()
     }
 
-    /// Builds the cache-blocked plane layout from per-class mask words.
-    fn planes_of(masks: &[Vec<u64>], n_words: usize) -> Vec<u64> {
-        let n_classes = masks.len();
-        let mut planes = vec![0u64; plane_words(n_words, n_classes)];
-        for (c, mask) in masks.iter().enumerate() {
-            for (w, &word) in mask.iter().enumerate() {
-                planes[(w / BLOCK_WORDS) * BLOCK_WORDS * n_classes
-                    + c * BLOCK_WORDS
-                    + w % BLOCK_WORDS] = word;
-            }
-        }
-        planes
+    /// The split count by definition: the popcount of `words`, and the
+    /// popcount below each cut, one bit at a time.
+    fn split_reference(words: &[u64], cuts: &[u32]) -> (u64, Vec<u64>) {
+        let bit = |i: usize| words[i / 64] >> (i % 64) & 1;
+        let below = |cut: u32| (0..cut as usize).map(bit).sum();
+        (
+            Kernel::Scalar.count(words),
+            cuts.iter().map(|&c| below(c)).collect(),
+        )
     }
 
     /// Every kernel matches the scalar reference on ragged lengths —
     /// including lengths straddling the 8-word block boundary and a
-    /// trailing partial word pattern — for count, and_count and the
-    /// fused tally. Odd lengths prove no kernel reads past `len`: the
+    /// trailing partial word pattern — for count, and_count and both
+    /// split kernels. Odd lengths prove no kernel reads past `len`: the
     /// buffers are exactly `len` words long, so an out-of-bounds block
     /// read would fault or (under the aligned storage) read padding and
     /// diverge from the scalar result.
@@ -451,48 +508,42 @@ mod tests {
             }
             let want_count = Kernel::Scalar.count(&a);
             let want_and = Kernel::Scalar.and_count(&a, &b);
-            let masks: Vec<Vec<u64>> = (0..3).map(|c| words(n, 10 + c)).collect();
-            let planes = planes_of(&masks, n);
-            let mut want_tally = vec![0u64; 3];
-            Kernel::Scalar.tally(&a, &planes, 3, &mut want_tally);
-            // The scalar tally itself must equal per-class and_counts.
-            for (c, mask) in masks.iter().enumerate() {
-                assert_eq!(
-                    want_tally[c],
-                    Kernel::Scalar.and_count(&a, mask),
-                    "n={n} c={c}"
-                );
-            }
+            let both: Vec<u64> = a.iter().zip(&b).map(|(x, y)| x & y).collect();
+            // Cuts in the first block, mid-way, in the tail and at the end.
+            let bits = 64 * n as u32;
+            let cuts = [bits / 9, bits / 2, bits * 7 / 8, bits];
+            let (want_total, want_prefix) = split_reference(&both, &cuts);
             for k in Kernel::ALL {
                 assert_eq!(k.count(&a), want_count, "{k} count n={n}");
                 assert_eq!(k.and_count(&a, &b), want_and, "{k} and_count n={n}");
-                let mut got = vec![0u64; 3];
-                k.tally(&a, &planes, 3, &mut got);
-                assert_eq!(got, want_tally, "{k} tally n={n}");
+                let mut prefix = vec![u64::MAX; cuts.len()];
+                let total = k.split_count(&both, &cuts, &mut prefix);
+                assert_eq!(
+                    (total, &prefix),
+                    (want_total, &want_prefix),
+                    "{k} split n={n}"
+                );
+                let mut out = vec![u64::MAX; n];
+                let mut prefix = vec![u64::MAX; cuts.len()];
+                let total = k.and_split_into(&a, &b, &mut out, &cuts, &mut prefix);
+                assert_eq!(out, both, "{k} and_split_into words n={n}");
+                assert_eq!(
+                    (total, &prefix),
+                    (want_total, &want_prefix),
+                    "{k} fused n={n}"
+                );
             }
         }
     }
 
     #[test]
-    fn tally_overwrites_stale_counts() {
+    fn no_cuts_and_empty_tidsets_are_plain_counts() {
         let t = words(20, 3);
-        let masks: Vec<Vec<u64>> = (0..2).map(|c| words(20, 20 + c)).collect();
-        let planes = planes_of(&masks, 20);
         for k in Kernel::ALL {
-            let mut counts = vec![u64::MAX; 2];
-            k.tally(&t, &planes, 2, &mut counts);
-            assert_eq!(counts[0], k.and_count(&t, &masks[0]), "{k}");
-            assert_eq!(counts[1], k.and_count(&t, &masks[1]), "{k}");
-        }
-    }
-
-    #[test]
-    fn zero_classes_and_empty_tidsets_are_noops() {
-        for k in Kernel::ALL {
-            k.tally(&[1, 2, 3], &[], 0, &mut []);
-            let mut counts = vec![7u64; 2];
-            k.tally(&[], &[], 2, &mut counts);
-            assert_eq!(counts, vec![0, 0], "{k}: empty tidset zeroes counts");
+            assert_eq!(k.split_count(&t, &[], &mut []), k.count(&t), "{k}");
+            let mut prefix = vec![7u64; 2];
+            assert_eq!(k.split_count(&[], &[0, 0], &mut prefix), 0, "{k}");
+            assert_eq!(prefix, vec![0, 0], "{k}: empty tidset zeroes prefixes");
             assert_eq!(k.count(&[]), 0, "{k}");
             assert_eq!(k.and_count(&[], &[]), 0, "{k}");
         }
@@ -506,10 +557,12 @@ mod tests {
             assert_eq!(buf.as_slice().as_ptr() as usize % 64, 0, "n={n}");
             buf.as_mut_slice().fill(u64::MAX);
             assert_eq!(buf.as_slice().len(), n);
-            // Shrink then regrow: recycled padding must come back zeroed.
+            // Shrink then regrow for overwrite: the length follows, and
+            // the recycled words are not cleared.
             buf.clear();
-            buf.resize_zeroed(n + 3);
-            assert!(buf.as_slice().iter().all(|&w| w == 0), "n={n}");
+            buf.resize_for_overwrite(n + 3);
+            assert_eq!(buf.as_slice().len(), n + 3);
+            assert!(buf.as_slice()[..n].iter().all(|&w| w == u64::MAX), "n={n}");
         }
     }
 

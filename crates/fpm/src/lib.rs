@@ -3,8 +3,9 @@
 //! This crate implements two classic frequent-itemset mining algorithms —
 //! [FP-growth](fpgrowth) over an FP-tree and vertical [Eclat](eclat) over
 //! tid-lists — plus the class-mask popcount engine [`dense`] (adaptive
-//! bitset / tid-list / dEclat-diffset representation with payload counters
-//! computed as `popcount(tidset & class_mask)`), the multi-threaded
+//! bitset / tid-list / dEclat-diffset representation over cell-ordered
+//! row positions, with payload counters computed as a tidset's popcount
+//! split at the class boundaries), the multi-threaded
 //! [`parallel`] engine, and a [naive reference miner](naive) used for
 //! differential testing.
 //!
@@ -175,10 +176,10 @@ pub enum Algorithm {
     /// Depth-first vertical mining over tid-lists (Zaki, 1997).
     Eclat,
     /// Class-mask popcount counting with adaptive tidsets (bitsets,
-    /// sorted tid-lists, dEclat diffsets): payload counters are computed
-    /// as `popcount(tidset & class_mask)` instead of per-tid merges.
-    /// Payloads that don't lower into class masks fall back to
-    /// [`Algorithm::Eclat`] transparently.
+    /// sorted tid-lists, dEclat diffsets) over cell-ordered rows: payload
+    /// counters are a tidset's popcount split at the class boundaries
+    /// instead of per-tid merges. Payloads that don't lower (see
+    /// [`masks`]) fall back to [`Algorithm::Eclat`] transparently.
     Dense,
     /// Exhaustive depth-first enumeration with per-candidate scans. Only
     /// suitable for small inputs; used as the differential-testing oracle.

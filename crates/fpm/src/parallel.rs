@@ -351,7 +351,7 @@ pub fn mine_arena_bounded<P: Payload + Send + Sync>(
     let shared = &shared;
 
     let locals: Vec<ItemsetArena<P>> = if let Some(masks) = ClassMasks::build(payloads) {
-        // Dense path: popcount counting against the shared class masks.
+        // Dense path: popcount counting over the shared range layout.
         // Root nodes are built once and shared read-only; each worker has
         // its own buffer pool, stats, and arena.
         let ctx = dense::Ctx {
@@ -549,6 +549,7 @@ fn subtree<P: Payload>(
 mod tests {
     use super::*;
     use crate::itemset::sort_canonical;
+    use crate::payload::tests::Classes;
     use crate::payload::CountPayload;
     use crate::sink::VecSink;
     use crate::{Algorithm, MiningTask};
@@ -572,7 +573,7 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_for_any_thread_count() {
         let db = db();
-        let payloads: Vec<CountPayload> = (0..db.len()).map(|t| CountPayload(t as u64)).collect();
+        let payloads: Vec<Classes> = (0..db.len()).map(Classes::of_row).collect();
         let params = MiningParams::with_min_support_count(3);
         let mut reference = MiningTask::with_params(&db, params.clone())
             .payloads(&payloads)
@@ -589,7 +590,7 @@ mod tests {
     #[test]
     fn sink_path_replays_the_canonical_order() {
         let db = db();
-        let payloads: Vec<CountPayload> = (0..db.len()).map(|t| CountPayload(t as u64)).collect();
+        let payloads: Vec<Classes> = (0..db.len()).map(Classes::of_row).collect();
         let params = MiningParams::with_min_support_count(3);
         let expected = mine(&db, &payloads, &params, 4);
         let mut sink = VecSink::new();
@@ -637,7 +638,7 @@ mod tests {
     #[test]
     fn unlimited_bounded_run_is_complete_and_identical() {
         let db = db();
-        let payloads: Vec<CountPayload> = (0..db.len()).map(|t| CountPayload(t as u64)).collect();
+        let payloads: Vec<Classes> = (0..db.len()).map(Classes::of_row).collect();
         let params = MiningParams::with_min_support_count(2);
         let plain = mine(&db, &payloads, &params, 4);
         let (arena, completeness) =
@@ -649,7 +650,7 @@ mod tests {
     #[test]
     fn itemset_cap_yields_a_subset_with_exact_supports() {
         let db = db();
-        let payloads: Vec<CountPayload> = (0..db.len()).map(|t| CountPayload(t as u64)).collect();
+        let payloads: Vec<Classes> = (0..db.len()).map(Classes::of_row).collect();
         let params = MiningParams::with_min_support_count(1);
         let full = mine(&db, &payloads, &params, 4);
         assert!(full.len() > 5);

@@ -20,20 +20,25 @@ use crate::masks::MaskSpec;
 /// # Class-mask lowering
 ///
 /// Payloads whose aggregate is a vector of *class counts* ("how many
-/// covering transactions fall into class `c`") can additionally opt into
-/// the popcount counting path of [`crate::dense`] by overriding the three
-/// mask hooks. The contract, checked by differential property tests:
+/// covering transactions fall into class `c`"), with every transaction
+/// in **at most one** class, can additionally opt into the popcount
+/// counting path of [`crate::dense`] by overriding the three mask hooks.
+/// [`crate::masks::ClassMasks`] then numbers the rows class by class, so
+/// each class is one range of tidset positions. The contract, checked by
+/// differential property tests:
 ///
 /// - `mask_spec(payloads)` returns `Some(spec)` only if every payload in
-///   the slice is exactly the indicator of its class memberships — i.e.
-///   `decode_classes(spec, class_counts_of(tids))` equals the `merge` of
+///   the slice is exactly the indicator of at most one class — i.e.
+///   `decode_classes(class_counts_of(tids))` equals the `merge` of
 ///   `payloads[t]` over `tids`, for every subset `tids`.
-/// - `encode_classes` calls `set(c)` once for each class the (single
-///   transaction) payload belongs to.
+/// - `class_of` names the one class the (single transaction) payload
+///   belongs to, or `None` for a transaction in no class.
 /// - `decode_classes` rebuilds the aggregate from per-class counts.
 ///
 /// The default `mask_spec` returns `None`: the payload only supports
 /// merge-based counting, and mask-driven engines fall back transparently.
+/// So do payloads whose rows may sit in several classes (bit planes,
+/// pairs, arrays), whatever their components.
 pub trait Payload: Clone {
     /// The identity element.
     fn zero() -> Self;
@@ -47,18 +52,16 @@ pub trait Payload: Clone {
         None
     }
 
-    /// Calls `set(class)` for every class this per-transaction payload
-    /// belongs to. Only invoked when [`Payload::mask_spec`] returned
-    /// `Some` for the run.
-    fn encode_classes(&self, spec: &MaskSpec, set: &mut dyn FnMut(usize)) {
-        let _ = (spec, set);
-        unreachable!("encode_classes called on a payload without a mask spec");
+    /// The class this per-transaction payload belongs to, if any. Only
+    /// invoked when [`Payload::mask_spec`] returned `Some` for the run.
+    fn class_of(&self) -> Option<usize> {
+        unreachable!("class_of called on a payload without a mask spec");
     }
 
     /// Rebuilds an aggregate payload from per-class counts. Only invoked
     /// when [`Payload::mask_spec`] returned `Some` for the run.
-    fn decode_classes(spec: &MaskSpec, counts: &[u64]) -> Self {
-        let _ = (spec, counts);
+    fn decode_classes(counts: &[u64]) -> Self {
+        let _ = counts;
         unreachable!("decode_classes called on a payload without a mask spec");
     }
 }
@@ -72,8 +75,10 @@ impl Payload for () {
     fn mask_spec(_payloads: &[Self]) -> Option<MaskSpec> {
         Some(MaskSpec::leaf(0))
     }
-    fn encode_classes(&self, _spec: &MaskSpec, _set: &mut dyn FnMut(usize)) {}
-    fn decode_classes(_spec: &MaskSpec, _counts: &[u64]) -> Self {}
+    fn class_of(&self) -> Option<usize> {
+        None
+    }
+    fn decode_classes(_counts: &[u64]) -> Self {}
 }
 
 /// A payload carrying a single `u64` counter (e.g. a weighted support).
@@ -87,25 +92,6 @@ impl Payload for CountPayload {
     fn merge(&mut self, other: &Self) {
         self.0 += other.0;
     }
-
-    /// Lowers each *bit plane* of the value to a class: class `k` holds
-    /// the transactions whose value has bit `k` set, so the aggregate sum
-    /// is `Σ_k counts[k] << k` — exact for any values, since addition
-    /// distributes over the binary decomposition.
-    fn mask_spec(payloads: &[Self]) -> Option<MaskSpec> {
-        let max = payloads.iter().map(|p| p.0).max().unwrap_or(0);
-        Some(MaskSpec::leaf(64 - max.leading_zeros() as usize))
-    }
-    fn encode_classes(&self, spec: &MaskSpec, set: &mut dyn FnMut(usize)) {
-        for k in 0..spec.n_classes() {
-            if self.0 >> k & 1 == 1 {
-                set(k);
-            }
-        }
-    }
-    fn decode_classes(_spec: &MaskSpec, counts: &[u64]) -> Self {
-        CountPayload(counts.iter().enumerate().map(|(k, &c)| c << k).sum())
-    }
 }
 
 /// Pairs compose: merged component-wise.
@@ -116,31 +102,6 @@ impl<A: Payload, B: Payload> Payload for (A, B) {
     fn merge(&mut self, other: &Self) {
         self.0.merge(&other.0);
         self.1.merge(&other.1);
-    }
-
-    /// Maskable iff both components are; class ranges are concatenated.
-    fn mask_spec(payloads: &[Self]) -> Option<MaskSpec> {
-        let a: Vec<A> = payloads.iter().map(|p| p.0.clone()).collect();
-        let b: Vec<B> = payloads.iter().map(|p| p.1.clone()).collect();
-        Some(MaskSpec::composite(vec![
-            A::mask_spec(&a)?,
-            B::mask_spec(&b)?,
-        ]))
-    }
-    fn encode_classes(&self, spec: &MaskSpec, set: &mut dyn FnMut(usize)) {
-        let children = spec.children();
-        self.0.encode_classes(&children[0], set);
-        let offset = children[0].n_classes();
-        self.1
-            .encode_classes(&children[1], &mut |c| set(offset + c));
-    }
-    fn decode_classes(spec: &MaskSpec, counts: &[u64]) -> Self {
-        let children = spec.children();
-        let split = children[0].n_classes();
-        (
-            A::decode_classes(&children[0], &counts[..split]),
-            B::decode_classes(&children[1], &counts[split..]),
-        )
     }
 }
 
@@ -154,38 +115,6 @@ impl<P: Payload, const N: usize> Payload for [P; N] {
             a.merge(b);
         }
     }
-
-    /// Maskable iff every element column is; class ranges are
-    /// concatenated in element order.
-    fn mask_spec(payloads: &[Self]) -> Option<MaskSpec> {
-        let mut children = Vec::with_capacity(N);
-        for i in 0..N {
-            let column: Vec<P> = payloads.iter().map(|p| p[i].clone()).collect();
-            children.push(P::mask_spec(&column)?);
-        }
-        Some(MaskSpec::composite(children))
-    }
-    fn encode_classes(&self, spec: &MaskSpec, set: &mut dyn FnMut(usize)) {
-        let mut offset = 0;
-        for (p, child) in self.iter().zip(spec.children()) {
-            let base = offset;
-            p.encode_classes(child, &mut |c| set(base + c));
-            offset += child.n_classes();
-        }
-    }
-    fn decode_classes(spec: &MaskSpec, counts: &[u64]) -> Self {
-        let children = spec.children();
-        let mut offsets = [0usize; N];
-        let mut offset = 0;
-        for i in 0..N {
-            offsets[i] = offset;
-            offset += children[i].n_classes();
-        }
-        std::array::from_fn(|i| {
-            let lo = offsets[i];
-            P::decode_classes(&children[i], &counts[lo..lo + children[i].n_classes()])
-        })
-    }
 }
 
 /// Merges all payloads of an iterator starting from the identity.
@@ -198,9 +127,48 @@ pub fn merge_all<P: Payload>(iter: impl IntoIterator<Item = P>) -> P {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::masks::ClassMasks;
+
+    /// A payload in the shape the range layout counts: each row is in at
+    /// most one of three classes, and an aggregate holds the class counts.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub(crate) struct Classes(pub [u64; 3]);
+
+    impl Classes {
+        /// Row `t`'s payload: class `t % 4`, where class 3 means none.
+        pub(crate) fn of_row(t: usize) -> Self {
+            let mut classes = [0; 3];
+            if let Some(slot) = classes.get_mut(t % 4) {
+                *slot = 1;
+            }
+            Classes(classes)
+        }
+    }
+
+    impl Payload for Classes {
+        fn zero() -> Self {
+            Classes::default()
+        }
+        fn merge(&mut self, other: &Self) {
+            for (a, b) in self.0.iter_mut().zip(other.0) {
+                *a += b;
+            }
+        }
+        fn mask_spec(payloads: &[Self]) -> Option<MaskSpec> {
+            payloads
+                .iter()
+                .all(|p| p.0.iter().sum::<u64>() <= 1)
+                .then(|| MaskSpec::leaf(3))
+        }
+        fn class_of(&self) -> Option<usize> {
+            self.0.iter().position(|&c| c == 1)
+        }
+        fn decode_classes(counts: &[u64]) -> Self {
+            Classes([counts[0], counts[1], counts[2]])
+        }
+    }
 
     #[test]
     fn count_payload_is_a_monoid() {
@@ -231,33 +199,32 @@ mod tests {
         assert_eq!(total, CountPayload(10));
     }
 
+    /// An indicator payload round-trips through class counts: the
+    /// decoded tally of any row subset is the merge of its payloads.
+    /// Composites put a row in several classes, so they never lower.
     #[test]
-    fn composite_payloads_round_trip_through_class_counts() {
-        // A pair of (scalar, 2-array) payloads: 3 leaf specs concatenated.
-        type Composite = (CountPayload, [CountPayload; 2]);
-        let payloads: Vec<Composite> = (0..12u64)
-            .map(|t| (CountPayload(t % 3), [CountPayload(t % 2), CountPayload(1)]))
+    fn indicator_payloads_round_trip_through_class_counts() {
+        let payloads: Vec<Classes> = (0..12).map(Classes::of_row).collect();
+        let masks = ClassMasks::build(&payloads).expect("indicators are maskable");
+        let rows: Vec<u32> = vec![0, 3, 5, 8, 11];
+        let tids: Vec<u32> = (0..12u32)
+            .filter(|&p| rows.contains(&masks.rows()[p as usize]))
             .collect();
-        let masks = ClassMasks::build(&payloads).expect("composite is maskable");
-        let tids: Vec<u32> = vec![0, 3, 5, 8, 11];
         let mut counts = vec![0u64; masks.n_classes()];
         masks.count_sparse(&tids, &mut counts);
-        let decoded: Composite = masks.decode(&counts);
-        let expected = merge_all(tids.iter().map(|&t| payloads[t as usize]));
+        let decoded: Classes = masks.decode(&counts);
+        let expected = merge_all(rows.iter().map(|&t| payloads[t as usize]));
         assert_eq!(decoded, expected);
+
+        type Composite = (Classes, [Classes; 2]);
+        let composites: Vec<Composite> = payloads.iter().map(|&p| (p, [p, p])).collect();
+        assert!(<Composite>::mask_spec(&composites).is_none());
     }
 
     #[test]
-    fn unmaskable_component_disables_the_whole_composite() {
-        #[derive(Clone)]
-        struct Opaque;
-        impl Payload for Opaque {
-            fn zero() -> Self {
-                Opaque
-            }
-            fn merge(&mut self, _other: &Self) {}
-        }
-        let payloads = vec![(CountPayload(1), Opaque), (CountPayload(2), Opaque)];
-        assert!(<(CountPayload, Opaque)>::mask_spec(&payloads).is_none());
+    fn a_row_in_two_classes_is_not_an_indicator() {
+        let both = Classes([1, 1, 0]);
+        assert!(Classes::mask_spec(&[Classes::of_row(0), both]).is_none());
+        assert!(ClassMasks::build(&[both]).is_none());
     }
 }

@@ -133,16 +133,19 @@ fn fold<P: Payload>(
             }
         }
     }
+    // Bit `p` stands for the row at position `p` of the payloads' range
+    // layout, or for row `p` when they do not lower.
+    let masks = ClassMasks::build(payloads);
+    let row_at = |p: usize| masks.as_ref().map_or(p, |m| m.rows()[p] as usize);
     let mut bits: Vec<Bitset> = vec![Bitset::zeros(n_rows); order.len()];
-    for t in 0..n_rows {
-        for &item in db.transaction(t) {
+    for p in 0..n_rows {
+        for &item in db.transaction(row_at(p)) {
             let ix = dense_ix[item as usize];
             if ix != u32::MAX {
-                bits[ix as usize].set(t);
+                bits[ix as usize].set(p);
             }
         }
     }
-    let masks = ClassMasks::build(payloads);
     let mut counts = vec![0u64; masks.as_ref().map_or(0, ClassMasks::n_classes)];
     // Prefix-reuse AND-fold: keep a stack of partial intersections and
     // recompute only the suffix that differs from the previous
@@ -183,18 +186,15 @@ fn fold<P: Payload>(
         prev.clear();
         prev.extend_from_slice(items);
         let folded = stack.last().expect("candidates are non-empty");
-        let sup = folded.count();
         *words_anded += folded.n_words() as u64;
-        if sup == 0 {
-            continue;
-        }
-        supports[id] = sup;
         match &masks {
+            // One split count gives the leaf's support and class counts.
             Some(m) => {
-                *words_anded += m.count_dense(folded, &mut counts);
-                acc[id].merge(&m.decode::<P>(&counts));
+                supports[id] = m.count_dense(folded, &mut counts);
+                acc[id] = m.decode(&counts);
             }
             None => {
+                supports[id] = folded.count();
                 for t in folded.iter_ones() {
                     acc[id].merge(&payloads[t]);
                 }
@@ -206,6 +206,7 @@ fn fold<P: Payload>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::payload::tests::Classes;
     use crate::payload::CountPayload;
     use crate::{Algorithm, FrequentItemset, MiningParams, MiningTask};
 
@@ -225,12 +226,18 @@ mod tests {
         TransactionDb::from_rows(7, &rows)
     }
 
-    fn payloads(n: usize) -> Vec<CountPayload> {
-        (0..n).map(|t| CountPayload(t as u64 % 9)).collect()
+    /// Each row in at most one class, so the recount counts over the
+    /// range layout.
+    fn payloads(n: usize) -> Vec<Classes> {
+        (0..n).map(Classes::of_row).collect()
     }
 
     /// The canonical lattice the default engine mines at `min_support`.
-    fn mined(db: &TransactionDb, payloads: &[CountPayload], min_support: u64) -> ItemsetArena<()> {
+    fn mined<P: Payload + Send + Sync>(
+        db: &TransactionDb,
+        payloads: &[P],
+        min_support: u64,
+    ) -> ItemsetArena<()> {
         let mut lattice = MiningTask::new(db, min_support)
             .payloads(payloads)
             .run()
@@ -243,28 +250,28 @@ mod tests {
 
     /// The candidates whose recounted support meets `threshold`, in
     /// candidate-id order, with their tallies.
-    fn frequent(
+    fn frequent<P: Payload>(
         candidates: &ItemsetArena<()>,
-        tallies: &RecountTallies<CountPayload>,
+        tallies: &RecountTallies<P>,
         threshold: u64,
-    ) -> Vec<FrequentItemset<CountPayload>> {
+    ) -> Vec<FrequentItemset<P>> {
         (0..candidates.len())
             .filter(|&id| tallies.supports[id] >= threshold)
             .map(|id| {
                 FrequentItemset::new(
                     candidates.items(id).to_vec(),
                     tallies.supports[id],
-                    tallies.payloads[id],
+                    tallies.payloads[id].clone(),
                 )
             })
             .collect()
     }
 
-    fn unbounded(
+    fn unbounded<P: Payload>(
         db: &TransactionDb,
-        payloads: &[CountPayload],
+        payloads: &[P],
         candidates: &ItemsetArena<()>,
-    ) -> RecountTallies<CountPayload> {
+    ) -> RecountTallies<P> {
         recount(db, payloads, candidates, &Budget::unlimited(), None)
     }
 
@@ -301,6 +308,22 @@ mod tests {
         assert_eq!(frequent(&candidates, &tallies, 6), reference);
     }
 
+    /// Bit planes do not lower (a row sits in several classes), so the
+    /// fold merges each leaf's rows one by one.
+    #[test]
+    fn recount_of_an_unmaskable_payload_merges_row_by_row() {
+        let db = db();
+        let payloads: Vec<CountPayload> =
+            (0..db.len()).map(|t| CountPayload(t as u64 % 9)).collect();
+        let candidates = mined(&db, &payloads, 1);
+        let strict = MiningParams::with_min_support_count(6);
+        let mut reference = crate::eclat::mine(&db, &payloads, &strict);
+        crate::itemset::sort_canonical(&mut reference);
+        let tallies = unbounded(&db, &payloads, &candidates);
+        assert_eq!(tallies.completeness, Completeness::Complete);
+        assert_eq!(frequent(&candidates, &tallies, 6), reference);
+    }
+
     #[test]
     fn cancelled_recount_holds_no_tallies_and_names_the_reason() {
         let db = db();
@@ -328,7 +351,7 @@ mod tests {
     fn empty_source_is_complete_and_empty() {
         let empty = TransactionDb::from_rows::<Vec<u32>>(7, &[]);
         let candidates = mined(&db(), &payloads(40), 3);
-        let tallies = unbounded(&empty, &[], &candidates);
+        let tallies = unbounded::<Classes>(&empty, &[], &candidates);
         assert!(tallies.completeness.is_complete());
         assert_eq!(tallies.supports, vec![0; candidates.len()]);
         assert_eq!(tallies.rows, 0);

@@ -33,6 +33,57 @@ fn payloads_for(db: &TransactionDb) -> Vec<CountPayload> {
     (0..db.len()).map(|t| CountPayload(t as u64 + 1)).collect()
 }
 
+/// A payload in the shape the dense engine's range layout counts: each
+/// row is in at most one of three classes, and an aggregate holds the
+/// class counts. Bit planes and composites put a row in several classes,
+/// so they count through the Eclat fallback instead.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Classes([u64; 3]);
+
+impl Classes {
+    /// The payload of a row in class `class`; 3 and above mean none.
+    fn of_class(class: usize) -> Self {
+        let mut classes = [0; 3];
+        if let Some(slot) = classes.get_mut(class) {
+            *slot = 1;
+        }
+        Classes(classes)
+    }
+
+    /// Row `t`'s payload: a class scattered by a hash of `t`, so that
+    /// every class (and none) meets every item; one row in four is in none.
+    fn of_row(t: usize) -> Self {
+        Classes::of_class((t.wrapping_mul(0x9E37_79B9) >> 7) % 4)
+    }
+}
+
+impl fpm::Payload for Classes {
+    fn zero() -> Self {
+        Classes::default()
+    }
+    fn merge(&mut self, other: &Self) {
+        for (a, b) in self.0.iter_mut().zip(other.0) {
+            *a += b;
+        }
+    }
+    fn mask_spec(payloads: &[Self]) -> Option<fpm::MaskSpec> {
+        payloads
+            .iter()
+            .all(|p| p.0.iter().sum::<u64>() <= 1)
+            .then(|| fpm::MaskSpec::leaf(3))
+    }
+    fn class_of(&self) -> Option<usize> {
+        self.0.iter().position(|&c| c == 1)
+    }
+    fn decode_classes(counts: &[u64]) -> Self {
+        Classes([counts[0], counts[1], counts[2]])
+    }
+}
+
+fn classes_for(db: &TransactionDb) -> Vec<Classes> {
+    (0..db.len()).map(Classes::of_row).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -139,15 +190,13 @@ proptest! {
     /// The dense popcount engine must agree with merge-based Eclat under
     /// *every* representation mix — all-bitset, all-tid-list, diffsets at
     /// the first opportunity, and a cutoff that lands mid-lattice so
-    /// recursions cross the dense/sparse boundary — for a composite
-    /// payload whose `(T, F, ⊥)`-style tallies ride through the class
-    /// masks.
+    /// recursions cross the dense/sparse boundary — for an indicator
+    /// payload whose `(T, F, ⊥)`-style tallies ride through the range
+    /// layout (tid-lists and diffsets count by boundary search).
     #[test]
     fn dense_configs_agree_with_eclat(db in small_db(), min_support in 1u64..5, max_len in prop::option::of(1usize..4)) {
         use fpm::dense::{self, Config};
-        let payloads: Vec<(CountPayload, CountPayload)> = (0..db.len())
-            .map(|t| (CountPayload(t as u64 % 3), CountPayload(1 + t as u64 % 2)))
-            .collect();
+        let payloads = classes_for(&db);
         let mut params = MiningParams::with_min_support_count(min_support);
         params.max_len = max_len;
         let mut expected = mine(Algorithm::Eclat, &db, &payloads, &params);
@@ -173,9 +222,7 @@ proptest! {
     /// pre-fired token stops the run before any emission.
     #[test]
     fn dense_bounded_runs_emit_exact_subsets(db in small_db(), min_support in 1u64..4, cap in 1u64..8) {
-        let payloads: Vec<(CountPayload, CountPayload)> = (0..db.len())
-            .map(|t| (CountPayload(t as u64 % 3), CountPayload(t as u64 + 1)))
-            .collect();
+        let payloads = classes_for(&db);
         let params = MiningParams::with_min_support_count(min_support);
         let mut full = mine(Algorithm::Dense, &db, &payloads, &params);
         sort_canonical(&mut full);
@@ -279,48 +326,108 @@ proptest! {
         }
     }
 
-    /// The fused multi-mask tally agrees with the per-class loop and with
-    /// per-tid scans under every kernel and every tidset representation
-    /// the engines hold: dense bitset, sorted tid-list, and the dEclat
-    /// diffset subtraction. The composite payload lowers to up to
-    /// 3 + 2 = 5 class masks.
+    /// Dense, tid-list and diffset tallies over the range layout equal
+    /// per-row scans: rows map to positions, and every representation the
+    /// engines hold counts the rows a scan of the table counts. Each row
+    /// is `(class, in a, in b)`; the tallied set is `a & b`.
     #[test]
-    fn fused_tally_agrees_across_representations(
-        rows in proptest::collection::vec(any::<bool>(), 1..200),
+    fn tallies_equal_per_row_scans_in_every_representation(
+        rows in proptest::collection::vec((0usize..4, any::<bool>(), any::<bool>()), 1..200),
     ) {
         use fpm::bitset::Bitset;
-        use fpm::{ClassMasks, Kernel};
+        use fpm::{AlignedWords, ClassMasks, Kernel, Payload};
         let n = rows.len();
-        let payloads: Vec<(CountPayload, CountPayload)> = (0..n as u64)
-            .map(|t| (CountPayload(t % 8), CountPayload(t % 4)))
-            .collect();
-        let masks = ClassMasks::build(&payloads).expect("CountPayload tuples are maskable");
-        let nc = masks.n_classes();
-        let mut bs = Bitset::zeros(n);
-        let mut tid_list: Vec<u32> = Vec::new();
-        for (t, &member) in rows.iter().enumerate() {
-            if member {
-                bs.set(t);
-                tid_list.push(t as u32);
+        let payloads: Vec<Classes> = rows.iter().map(|&(c, _, _)| Classes::of_class(c)).collect();
+        let masks = ClassMasks::build(&payloads).expect("indicators are maskable");
+        let (mut scan, mut support) = (Classes::zero(), 0u64);
+        for (&(_, in_a, in_b), p) in rows.iter().zip(&payloads) {
+            if in_a && in_b {
+                scan.merge(p);
+                support += 1;
             }
         }
-        let mut reference = vec![0u64; nc];
-        masks.count_sparse(&tid_list, &mut reference);
-        for k in Kernel::ALL {
-            let mut fused = vec![u64::MAX; nc]; // stale: must be overwritten
-            masks.count_dense_with(k, &bs, &mut fused);
-            prop_assert_eq!(&fused, &reference, "{} fused vs tid-list scan", k);
-            let mut per_class = vec![0u64; nc];
-            masks.count_dense_per_class(k, &bs, &mut per_class);
-            prop_assert_eq!(&per_class, &reference, "{} per-class vs tid-list scan", k);
+        let (mut a, mut b, mut both) = (Bitset::zeros(n), Bitset::zeros(n), Bitset::zeros(n));
+        let mut tid_list: Vec<u32> = Vec::new();
+        for (pos, &row) in masks.rows().iter().enumerate() {
+            let (_, in_a, in_b) = rows[row as usize];
+            if in_a { a.set(pos); }
+            if in_b { b.set(pos); }
+            if in_a && in_b {
+                both.set(pos);
+                tid_list.push(pos as u32);
+            }
         }
+        for k in Kernel::ALL {
+            let mut counts = vec![u64::MAX; 3]; // stale: must be overwritten
+            prop_assert_eq!(masks.count_dense_with(k, &both, &mut counts), support, "{} support", k);
+            prop_assert_eq!(masks.decode::<Classes>(&counts), scan, "{} dense vs scan", k);
+        }
+        let mut counts = vec![u64::MAX; 3];
+        let mut out = AlignedWords::new();
+        prop_assert_eq!(masks.and_count_into(&a, &b, &mut out, &mut counts), support);
+        prop_assert_eq!(masks.decode::<Classes>(&counts), scan, "fused AND vs scan");
+        prop_assert_eq!(&Bitset::from_words(out), &both, "fused AND words");
+        let mut counts = vec![u64::MAX; 3];
+        masks.count_sparse(&tid_list, &mut counts);
+        prop_assert_eq!(masks.decode::<Classes>(&counts), scan, "tid-list vs scan");
         // Diffset: counts(universe) − counts(complement) = counts(tids).
-        let complement: Vec<u32> = (0..n as u32).filter(|&t| !rows[t as usize]).collect();
         let universe: Vec<u32> = (0..n as u32).collect();
-        let mut diff = vec![0u64; nc];
+        let complement: Vec<u32> = universe.iter().copied().filter(|&p| !both.get(p as usize)).collect();
+        let mut diff = vec![0u64; 3];
         masks.count_sparse(&universe, &mut diff);
         masks.subtract_sparse(&complement, &mut diff);
-        prop_assert_eq!(&diff, &reference, "diffset subtraction");
+        prop_assert_eq!(masks.decode::<Classes>(&diff), scan, "diffset vs scan");
+    }
+
+    /// The split kernels, standalone and fused into an AND, compute the
+    /// same popcount and prefixes under every kernel as a per-word
+    /// reference, on ragged lengths, with cuts at every bit offset, two
+    /// cuts in one word, an empty class, and all rows in one class.
+    #[test]
+    fn split_kernels_agree_on_ragged_lengths_at_any_cuts(
+        a in proptest::collection::vec(any::<u64>(), 0..40),
+        raw in proptest::collection::vec(any::<u32>(), 3),
+    ) {
+        use fpm::Kernel;
+        let b: Vec<u64> = a.iter().map(|w| w.rotate_left(17) ^ 0xA5A5_5A5A_F00F_0FF0).collect();
+        let both: Vec<u64> = a.iter().zip(&b).map(|(x, y)| x & y).collect();
+        let end = 64 * a.len() as u32;
+        let mut random: Vec<u32> = raw.iter().map(|r| r % (end + 1)).collect();
+        random.sort_unstable();
+        let mut cut_sets: Vec<Vec<u32>> = vec![
+            random,
+            vec![0, 0, end],       // all rows in the last class
+            vec![end, end, end],   // all rows in the first class
+            vec![0, 0, 0],         // every row in no class
+        ];
+        if end >= 128 {
+            for offset in 0..64 {
+                cut_sets.push(vec![offset, 64 + offset, end - 63 + offset.min(62)]);
+                cut_sets.push(vec![64 + offset / 2, 64 + offset, end]); // two cuts in one word
+                cut_sets.push(vec![offset, offset, end]); // an empty class
+            }
+        }
+        // The reference: whole words below the cut's word, plus that
+        // word's low bits.
+        let below = |words: &[u64], cut: u32| -> u64 {
+            let (w, bit) = (cut as usize / 64, cut % 64);
+            let whole: u64 = words[..w].iter().map(|x| x.count_ones() as u64).sum();
+            whole + words.get(w).map_or(0, |x| (x & ((1u64 << bit) - 1)).count_ones() as u64)
+        };
+        let total: u64 = both.iter().map(|x| x.count_ones() as u64).sum();
+        for cuts in &cut_sets {
+            let want: Vec<u64> = cuts.iter().map(|&c| below(&both, c)).collect();
+            for k in Kernel::ALL {
+                let mut prefix = vec![u64::MAX; cuts.len()];
+                prop_assert_eq!(k.split_count(&both, cuts, &mut prefix), total, "{} split {:?}", k, cuts);
+                prop_assert_eq!(&prefix, &want, "{} split prefixes {:?}", k, cuts);
+                let mut out = vec![u64::MAX; a.len()];
+                let mut prefix = vec![u64::MAX; cuts.len()];
+                prop_assert_eq!(k.and_split_into(&a, &b, &mut out, cuts, &mut prefix), total, "{} fused {:?}", k, cuts);
+                prop_assert_eq!(&prefix, &want, "{} fused prefixes {:?}", k, cuts);
+                prop_assert_eq!(&out, &both, "{} fused words", k);
+            }
+        }
     }
 
 }
@@ -338,7 +445,7 @@ fn kernels_never_read_past_odd_lengths() {
         // Fill two whole blocks beyond the target length with ones, then
         // shrink: padding past `len` stays all-ones in storage.
         let mut a = AlignedWords::from_slice(&vec![u64::MAX; 48]);
-        a.resize_zeroed(n_words);
+        a.resize_for_overwrite(n_words);
         assert_eq!(a.as_slice().len(), n_words);
         let b = AlignedWords::from_slice(&vec![u64::MAX; n_words]);
         for k in Kernel::ALL {
